@@ -13,10 +13,11 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, EmptyGraphError, IsolatesError
-from .graph import Graph, iter_bits
+from .graph import Graph, iter_bits, mask_from
 from .polynomial import CountPolynomial
 
 
@@ -87,20 +88,13 @@ def is_dominating(g: Graph, members: int) -> bool:
     """True iff the closed neighborhoods of the members cover every vertex."""
     if g.n == 0:
         raise EmptyGraphError("domination is undefined on the empty graph")
-    closed = g.closed
-    cov = 0
-    for v in iter_bits(members):
-        cov |= closed[v]
-    return cov == g.full_mask
+    return _is_valid(g, PLAIN, members)
 
 
 def is_total_dominating(g: Graph, members: int) -> bool:
     """True iff every vertex (members included) has a neighbor in the set."""
     _require_isolate_free(g)
-    cov = 0
-    for v in iter_bits(members):
-        cov |= g.adj[v]
-    return cov == g.full_mask
+    return _is_valid(g, TOTAL, members)
 
 
 def is_semitotal(g: Graph, members: int, rule: WitnessRule) -> bool:
@@ -110,13 +104,7 @@ def is_semitotal(g: Graph, members: int, rule: WitnessRule) -> bool:
     convention is applied only by the number/count operations, never here.
     """
     _require_isolate_free(g)
-    if not is_dominating(g, members):
-        return False
-    witness = _witness_masks(g, rule)
-    for v in iter_bits(members):
-        if not members & witness[v]:
-            return False
-    return True
+    return _is_valid(g, semitotal(rule), members)
 
 
 def _witness_masks(g: Graph, rule: WitnessRule) -> tuple[int, ...]:
@@ -131,7 +119,7 @@ def _cover_masks(g: Graph, variant: Variant) -> tuple[int, ...]:
 
 def _validate(g: Graph, variant: Variant) -> None:
     if g.n == 0:
-        raise EmptyGraphError("domination numbers are undefined on the empty graph")
+        raise EmptyGraphError("domination is undefined on the empty graph")
     if variant.kind != "plain":
         _require_isolate_free(g)
 
@@ -157,18 +145,29 @@ def _feasible_members(g: Graph, variant: Variant) -> list[int]:
 
 
 def _is_valid(g: Graph, variant: Variant, members: int) -> bool:
+    """True iff the members cover every vertex and, for semitotal, each member
+    has another member as witness."""
     cover = _cover_masks(g, variant)
     cov = 0
     for v in iter_bits(members):
         cov |= cover[v]
     if cov != g.full_mask:
         return False
-    if variant.kind == "semitotal":
-        witness = _witness_masks(g, variant.rule)
-        for v in iter_bits(members):
-            if not members & witness[v]:
-                return False
-    return True
+    if variant.kind != "semitotal":
+        return True
+    witness = _witness_masks(g, variant.rule)
+    return all(members & witness[v] for v in iter_bits(members))
+
+
+def _valid_sets(g: Graph, variant: Variant, sizes: Iterable[int]) -> Iterator[int]:
+    """Valid sets over the feasible members, size by size in the given order,
+    lexicographic in vertex order within one size."""
+    pool = [1 << v for v in _feasible_members(g, variant)]
+    for k in sizes:
+        for combo in combinations(pool, k):
+            m = sum(combo)
+            if _is_valid(g, variant, m):
+                yield m
 
 
 # -- exact optimization -------------------------------------------------
@@ -188,20 +187,11 @@ def brute_force_number(
     """
     if g.n > budget:
         raise BudgetExceededError(f"graph has {g.n} vertices, oracle budget is {budget}")
-    if g.n == 0:
-        raise EmptyGraphError("domination numbers are undefined on the empty graph")
     if _gate_applies(g, variant, conv):
         return 1
     _validate(g, variant)
-    pool = _feasible_members(g, variant)
-    for k in range(1, len(pool) + 1):
-        for combo in combinations(pool, k):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            if _is_valid(g, variant, m):
-                return k
-    return None
+    first = next(_valid_sets(g, variant, range(1, g.n + 1)), None)
+    return None if first is None else first.bit_count()
 
 
 def domination_number(
@@ -211,13 +201,19 @@ def domination_number(
 ) -> int | None:
     """Minimum size of a valid set by iterative-deepening branch and bound.
 
-    Branches on the lowest-index uncovered vertex, over the vertices able to
-    cover it; once coverage is complete, branches on witness candidates for
-    the lowest-index member still lacking one.  Deterministic by
-    construction.  Returns None when no valid set exists.
+    A search node lists its open requirements: each uncovered vertex, whose
+    candidates are the allowed vertices covering it, and, for semitotal, each
+    member without a witness, whose candidates are the vertices able to
+    witness it.  Both relations are symmetric, so these are exactly the
+    vertices a valid extension can add to meet the requirement.  A
+    requirement without candidates prunes the node; otherwise the search
+    branches on the requirement with the fewest candidates and bans each
+    candidate once its branch fails.  Requirements with pairwise disjoint
+    candidate sets each need their own new member, so a greedy packing of
+    them bounds the members still needed: it prunes nodes and sets the first
+    deepening level.  Deterministic by construction.  Returns None when no
+    valid set exists.
     """
-    if g.n == 0:
-        raise EmptyGraphError("domination numbers are undefined on the empty graph")
     if _gate_applies(g, variant, conv):
         return 1
     _validate(g, variant)
@@ -225,58 +221,66 @@ def domination_number(
     cover = _cover_masks(g, variant)
     witness = _witness_masks(g, variant.rule) if variant.kind == "semitotal" else None
     full = g.full_mask
-    if witness is None:
-        allowed = full
-    else:
-        allowed = 0
-        for v in range(g.n):
-            if witness[v]:
-                allowed |= 1 << v
-    max_cover = max((cover[v].bit_count() for v in iter_bits(allowed)), default=0)
-    if max_cover == 0:
-        return None
+    allowed = mask_from(_feasible_members(g, variant))
 
-    def search(chosen: int, covered: int, banned: int, budget: int) -> int | None:
-        uncovered = full & ~covered
-        if uncovered:
-            if budget == 0 or uncovered.bit_count() > budget * max_cover:
+    def requirements(chosen: int, covered: int, banned: int) -> list[int] | None:
+        """Candidate masks of the open requirements, fewest candidates first;
+        None when some requirement has no candidate left."""
+        free = allowed & ~banned
+        out = []
+        rest = full & ~covered
+        while rest:
+            low = rest & -rest
+            cands = cover[low.bit_length() - 1] & free
+            if not cands:
                 return None
-            u = (uncovered & -uncovered).bit_length() - 1
-            cands = cover[u] & allowed & ~banned
-            ban = banned
-            for w in iter_bits(cands):
-                hit = search(chosen | 1 << w, covered | cover[w], ban, budget - 1)
-                if hit is not None:
-                    return hit
-                ban |= 1 << w
-            return None
-        if witness is None:
-            return chosen.bit_count()
-        missing = 0
-        for v in iter_bits(chosen):
-            if not chosen & witness[v]:
-                missing = 1 << v
-                break
-        if not missing:
-            return chosen.bit_count()
-        if budget == 0:
-            return None
-        v = missing.bit_length() - 1
-        cands = witness[v] & allowed & ~chosen & ~banned
-        ban = banned
-        for w in iter_bits(cands):
-            hit = search(chosen | 1 << w, covered | cover[w], ban, budget - 1)
-            if hit is not None:
-                return hit
-            ban |= 1 << w
-        return None
+            out.append(cands)
+            rest ^= low
+        if witness is not None:
+            free &= ~chosen
+            for v in iter_bits(chosen):
+                if not chosen & witness[v]:
+                    cands = witness[v] & free
+                    if not cands:
+                        return None
+                    out.append(cands)
+        out.sort(key=int.bit_count)
+        return out
 
-    limit = allowed.bit_count()
-    for k in range(1, limit + 1):
-        hit = search(0, 0, 0, k)
-        if hit is not None:
-            return hit
-    return None
+    def packing(reqs: list[int]) -> int:
+        used = size = 0
+        for cands in reqs:
+            if not cands & used:
+                used |= cands
+                size += 1
+        return size
+
+    def search(chosen: int, covered: int, banned: int, budget: int) -> bool:
+        reqs = requirements(chosen, covered, banned)
+        if reqs is None:
+            return False
+        if not reqs:
+            return True
+        if packing(reqs) > budget:
+            return False
+        ban = banned
+        for w in iter_bits(reqs[0]):
+            if search(chosen | 1 << w, covered | cover[w], ban, budget - 1):
+                return True
+            ban |= 1 << w
+        return False
+
+    # Without candidates at the root some vertex cannot be covered at all.
+    # Otherwise the whole allowed set is valid (each allowed vertex has a
+    # witness, which is itself allowed), so the deepening below terminates.
+    # A semitotal set has at least two members: a singleton has no witness.
+    reqs = requirements(0, 0, 0)
+    if reqs is None:
+        return None
+    k = max(packing(reqs), 1 if witness is None else 2)
+    while not search(0, 0, 0, k):
+        k += 1
+    return k
 
 
 def minimum_sets(
@@ -286,27 +290,19 @@ def minimum_sets(
     limit: int = 16,
 ) -> list[int]:
     """Up to ``limit`` optimal sets as bit masks, in lexicographic vertex order."""
-    if g.n == 0:
-        raise EmptyGraphError("domination numbers are undefined on the empty graph")
     if _gate_applies(g, variant, conv):
         return [1 << v for v in range(min(limit, g.n))]
-    _validate(g, variant)
     opt = domination_number(g, variant, conv)
     if opt is None:
         return []
-    out = []
-    for combo in combinations(_feasible_members(g, variant), opt):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        if _is_valid(g, variant, m):
-            out.append(m)
-            if len(out) >= limit:
-                break
-    return out
+    return list(islice(_valid_sets(g, variant, (opt,)), limit))
 
 
 # -- exhaustive counting -------------------------------------------------
+
+# Largest coverage table count_by_size allocates, 8 bytes per subset: room
+# for n <= 27, above the 128 MiB that the default budget of 24 needs.
+_MAX_TABLE_BYTES = 1 << 30
 
 
 def count_by_size(
@@ -321,13 +317,15 @@ def count_by_size(
     ever consulted, so the result can serve as the oracle for the counting
     claims.  The complete-graph convention adds the singletons as valid sets.
     """
-    if g.n == 0:
-        raise EmptyGraphError("counting is undefined on the empty graph")
     gated = _gate_applies(g, variant, conv)
     if not gated:
         _validate(g, variant)
     if g.n > budget:
         raise BudgetExceededError(f"graph has {g.n} vertices, counting budget is {budget}")
+    table_bytes = array("Q").itemsize << g.n
+    if table_bytes > _MAX_TABLE_BYTES:
+        raise BudgetExceededError(f"counting {g.n} vertices needs a {table_bytes}-byte table, "
+                                  f"the limit is {_MAX_TABLE_BYTES}")
 
     n = g.n
     full = g.full_mask

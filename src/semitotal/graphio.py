@@ -76,7 +76,11 @@ _G6_HEADER = ">>graph6<<"
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode the printable graph6 encoding (single-byte sizes, n <= 62)."""
+    """Decode the printable graph6 encoding.
+
+    Sizes up to 62 take one byte; 63 and 64 take the long form, ``~``
+    followed by three 6-bit bytes.  Larger sizes exceed the word budget.
+    """
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
@@ -85,10 +89,15 @@ def parse_graph6(text: str) -> Graph:
     data = [ord(c) - 63 for c in s]
     if any(not 0 <= b <= 63 for b in data):
         raise ValueError("graph6 input contains characters outside chr(63)..chr(126)")
-    n = data[0]
-    if n == 63:
-        raise CapacityError("multi-byte graph6 sizes (n > 62) are not supported")
-    body = data[1:]
+    if data[0] == 63:
+        if len(data) < 4:
+            raise ValueError("graph6 long size form needs three bytes after '~'")
+        n = data[1] << 12 | data[2] << 6 | data[3]
+        if not 63 <= n <= WORD_BITS:
+            raise CapacityError(f"graph6 long-form size must be 63..{WORD_BITS}")
+        body = data[4:]
+    else:
+        n, body = data[0], data[1:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} groups, expected {need} for n={n}")
@@ -106,15 +115,16 @@ def parse_graph6(text: str) -> Graph:
 
 
 def emit_graph6(g: Graph) -> str:
-    if g.n > 62:
-        raise CapacityError("graph6 emission supports n <= 62 only")
     bits = []
     for j in range(1, g.n):
         for i in range(j):
             bits.append(1 if g.adj[i] >> j & 1 else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(g.n + 63)]
+    if g.n <= 62:
+        out = [chr(g.n + 63)]
+    else:
+        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         group = 0
         for b in bits[k:k + 6]:

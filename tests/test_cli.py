@@ -1,7 +1,17 @@
 import json
 
+import pytest
+
 from semitotal.cli import cli
-from semitotal import cycle, emit_graph, GraphFormat, wheel
+from semitotal import (
+    BudgetExceededError,
+    GraphFormat,
+    SEMITOTAL_WITHIN,
+    count_by_size,
+    cycle,
+    emit_graph,
+    wheel,
+)
 
 
 def run(capsys, *argv):
@@ -50,6 +60,15 @@ def test_budget_error_exits_2(capsys):
     code, _, err = run(capsys, "count", "--family", "path:13", "--budget", "12")
     assert code == 2
     assert "computation error" in err
+
+
+def test_count_table_too_large_fails_fast(capsys):
+    # budget 40 admits the graph, but its 2^40-entry table would need 8 TiB
+    with pytest.raises(BudgetExceededError):
+        count_by_size(cycle(40), SEMITOTAL_WITHIN, budget=40)
+    code, _, err = run(capsys, "count", "--family", "cycle:40", "--budget", "40")
+    assert code == 2
+    assert "table" in err
 
 
 def test_family_emission_matches_library(capsys):

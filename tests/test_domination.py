@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,6 +17,7 @@ from semitotal import (
     WitnessRule,
     bits_list,
     brute_force_number,
+    cartesian,
     complete,
     complete_bipartite,
     count_by_size,
@@ -33,7 +36,7 @@ from semitotal import (
     star,
 )
 
-from conftest import graphs
+from conftest import graphs, relabeled
 from corpus import family_corpus, full_corpus
 
 ALL_VARIANTS = (PLAIN, TOTAL, SEMITOTAL_WITHIN, SEMITOTAL_EXACT)
@@ -164,13 +167,18 @@ def test_minimum_sets_are_valid_and_optimal():
 # -- oracle agreement -----------------------------------------------------
 
 
-@given(graphs(min_n=1, max_n=7))
+@given(graphs(min_n=1, max_n=11))
 @settings(max_examples=80, deadline=None)
 def test_solver_matches_brute_force_random(g):
     for variant in ALL_VARIANTS:
-        if variant.kind != "plain" and not g.is_isolate_free():
-            continue
-        assert domination_number(g, variant) == brute_force_number(g, variant)
+        for conv in (Conventions(), OFF):
+            try:
+                expected = brute_force_number(g, variant, conv)
+            except IsolatesError:
+                with pytest.raises(IsolatesError):
+                    domination_number(g, variant, conv)
+                continue
+            assert domination_number(g, variant, conv) == expected
 
 
 def test_solver_matches_brute_force_sixteen_vertices():
@@ -181,6 +189,25 @@ def test_solver_matches_brute_force_sixteen_vertices():
     for g in big:
         for variant in ALL_VARIANTS:
             assert domination_number(g, variant) == brute_force_number(g, variant, budget=16)
+
+
+def test_solver_is_label_invariant_on_paper_families():
+    # the branching order depends on vertex labels; the value must not
+    for g in (path(30), cycle(30), cartesian(path(4), path(9))):
+        for variant in (SEMITOTAL_WITHIN, SEMITOTAL_EXACT):
+            natural = domination_number(g, variant)
+            for seed in range(4):
+                perm = list(range(g.n))
+                random.Random(seed).shuffle(perm)
+                assert domination_number(relabeled(g, perm), variant) == natural, (g.n, variant, seed)
+
+
+def test_paths_and_cycles_beyond_oracle_range():
+    for n in range(16, 41):
+        expected = -(-2 * n // 5)
+        for rule in WitnessRule:
+            assert domination_number(path(n), semitotal(rule)) == expected, (n, rule)
+            assert domination_number(cycle(n), semitotal(rule)) == expected, (n, rule)
 
 
 def test_solver_matches_reference_enumeration_small():

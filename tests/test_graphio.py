@@ -94,10 +94,14 @@ def test_round_trip_random(g):
 
 
 def test_round_trip_at_graph6_size_limit():
-    g = complete(62)
-    assert parse_graph6(emit_graph6(g)).adj == g.adj
-    with pytest.raises(CapacityError):
-        emit_graph6(complete(63))
+    for n in (62, 63, 64):
+        for g in (complete(n), cycle(n)):
+            assert parse_graph6(emit_graph6(g)).adj == g.adj
+    # sizes 63 and 64 take the long form: '~' then the size in three 6-bit bytes
+    assert emit_graph6(complete(63)).startswith("~??~")
+    assert emit_graph6(complete(64)).startswith("~?@?")
+    with pytest.raises(ValueError, match="three bytes"):
+        parse_graph6("~?")
 
 
 def test_all_five_vertex_graphs_round_trip():
