@@ -41,7 +41,7 @@ def main() -> None:
     predicted = closed_form("complete_bipartite_small", m=2, n=3)
     print(f"  enumerated:  {enumerated}")
     print(f"  closed form: {predicted}")
-    print(f"  equal: {enumerated.equals(predicted)}")
+    print(f"  equal: {enumerated == predicted}")
     print()
 
     print("C_4 under the three variants (plain / within 2 / exactly 2):")

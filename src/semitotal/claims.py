@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatch
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable
+from typing import Callable, TypeVar
 
 import networkx as nx
 
@@ -31,6 +31,7 @@ from .domination import (
     domination_number,
     semitotal,
 )
+from .errors import COMPUTATION_ERRORS
 from .families import (
     Attach,
     book,
@@ -47,11 +48,9 @@ from .families import (
     wheel,
 )
 from .graph import Graph, bits_list
-from .polynomial import CountPolynomial
+from .polynomial import CountPolynomial, closed_form
 from .products import cartesian, corona, join, rooted_product
 from .stability import RemovalPolicy, stability_witness
-
-RULES_BOTH = (WitnessRule.WITHIN_TWO, WitnessRule.EXACTLY_TWO)
 
 _BARE = Conventions(complete_singleton=False)
 
@@ -90,39 +89,44 @@ class ClaimRow:
 
 @dataclass(frozen=True)
 class Claim:
-    """A registered identity: id, statement, rules to try, row builder."""
+    """A registered identity: id, statement, row builder (run once per witness rule)."""
 
     id: str
     description: str
-    rules: tuple[WitnessRule, ...]
     builder: Callable[[int, WitnessRule, Conventions], list[ClaimRow]]
 
 
-def _value_row(
-    claim: str,
-    instance: str,
-    rule: str,
-    predicted,
-    compute: Callable[[], object],
-    note: str = "",
-    details: tuple[tuple[str, str], ...] = (),
-) -> ClaimRow:
+_R = TypeVar("_R")
+
+
+def _guarded(claim: str, instance: str, rule: str, predicted: str, build: Callable[[], _R],
+             note: str = "") -> _R | ClaimRow:
+    """Run ``build``; a typed computation error becomes one UNDEFINED row.
+
+    Any other exception is a programming error and propagates.
+    """
     try:
-        actual = compute()
-    except Exception as exc:
+        return build()
+    except COMPUTATION_ERRORS as exc:
         reason = f"{type(exc).__name__}: {exc}"
         full = f"{note}; {reason}" if note else reason
-        return ClaimRow(claim, instance, rule, _show(predicted), "error", "UNDEFINED", full, details)
-    verdict = "PASS" if actual == predicted else "FAIL"
-    return ClaimRow(claim, instance, rule, _show(predicted), _show(actual), verdict, note, details)
+        return ClaimRow(claim, instance, rule, predicted, "error", "UNDEFINED", full)
 
 
-def _na_row(claim: str, instance: str, rule: str, compute, note: str) -> ClaimRow:
-    try:
-        actual = _show(compute())
-    except Exception as exc:
-        actual = f"error: {type(exc).__name__}"
-    return ClaimRow(claim, instance, rule, "none", actual, "N/A", note)
+def _value_row(claim: str, instance: str, rule: str, predicted, compute: Callable[[], object],
+               note: str = "") -> ClaimRow:
+    """Compare ``compute()`` with ``predicted``; a None prediction gives an N/A row."""
+    shown = "none" if predicted is None else _show(predicted)
+
+    def build() -> ClaimRow:
+        actual = compute()
+        if predicted is None:
+            verdict = "N/A"
+        else:
+            verdict = "PASS" if actual == predicted else "FAIL"
+        return ClaimRow(claim, instance, rule, shown, _show(actual), verdict, note)
+
+    return _guarded(claim, instance, rule, shown, build, note)
 
 
 # -- shared oracles -------------------------------------------------------
@@ -260,17 +264,14 @@ def _rows_t1_v(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimR
     rows = []
     for m, n in _kmn_pairs(budget):
         g = complete_bipartite(m, n)
+        note = ""
         if n <= 4:
             pred = m
         elif m >= 5:
             pred = 4
         else:
-            rows.append(
-                _na_row("T1.v", g.name, rule.value, lambda g=g: _gt2(g, rule, conv),
-                        "parameters outside the stated cases (m <= 4 < n)")
-            )
-            continue
-        rows.append(_value_row("T1.v", g.name, rule.value, pred, lambda g=g: _gt2(g, rule, conv)))
+            pred, note = None, "parameters outside the stated cases (m <= 4 < n)"
+        rows.append(_value_row("T1.v", g.name, rule.value, pred, lambda g=g: _gt2(g, rule, conv), note))
     return rows
 
 
@@ -394,27 +395,26 @@ def corona_bound_check(
     comes from the singleton convention carried by ``conv``.
     """
     instance = f"({g.name or 'G'})o({h.name or 'H'})"
-    try:
+
+    def build() -> ClaimRow:
         gv = _gt2(g, rule, conv)
         hv = _gt2(h, rule, conv)
         if gv is None or hv is None:
             return ClaimRow("T-corona", instance, rule.value, "bound", "undefined", "UNDEFINED",
                             "a factor's semitotal number is undefined under this rule")
         bound = gv + hv * (g.n - gv)
-        big = corona(g, h)
-        actual = _gt2(big, rule, conv)
-    except Exception as exc:
-        return ClaimRow("T-corona", instance, rule.value, "bound", "error", "UNDEFINED",
-                        f"{type(exc).__name__}: {exc}")
-    if actual is None:
-        return ClaimRow("T-corona", instance, rule.value, f"<= {bound}", "undefined", "UNDEFINED",
-                        "corona value undefined under this rule")
-    if h.is_complete():
-        verdict = "PASS" if actual == bound else "FAIL"
-        return ClaimRow("T-corona", instance, rule.value, f"= {bound}", str(actual), verdict,
-                        "equality required: the copy factor is complete")
-    verdict = "PASS" if actual <= bound else "FAIL"
-    return ClaimRow("T-corona", instance, rule.value, f"<= {bound}", str(actual), verdict)
+        actual = _gt2(corona(g, h), rule, conv)
+        if actual is None:
+            return ClaimRow("T-corona", instance, rule.value, f"<= {bound}", "undefined", "UNDEFINED",
+                            "corona value undefined under this rule")
+        if h.is_complete():
+            verdict = "PASS" if actual == bound else "FAIL"
+            return ClaimRow("T-corona", instance, rule.value, f"= {bound}", str(actual), verdict,
+                            "equality required: the copy factor is complete")
+        verdict = "PASS" if actual <= bound else "FAIL"
+        return ClaimRow("T-corona", instance, rule.value, f"<= {bound}", str(actual), verdict)
+
+    return _guarded("T-corona", instance, rule.value, "bound", build)
 
 
 def _rows_corona(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
@@ -440,17 +440,14 @@ def _rows_join(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimR
             if g.n + h.n > budget:
                 continue
             instance = f"({g.name})v({h.name})"
-
-            def compute(g=g, h=h):
-                return _gt2(join(g, h), rule, conv)
-
             gv = _gt2(g, rule, conv)
             hv = _gt2(h, rule, conv)
             if gv is None or hv is None:
                 rows.append(ClaimRow("T-join", instance, rule.value, "min", "skipped", "UNDEFINED",
                                      "a factor's semitotal number is undefined under this rule"))
                 continue
-            rows.append(_value_row("T-join", instance, rule.value, min(gv, hv, 4), compute))
+            rows.append(_value_row("T-join", instance, rule.value, min(gv, hv, 4),
+                                   lambda g=g, h=h: _gt2(join(g, h), rule, conv)))
     return rows
 
 
@@ -497,24 +494,21 @@ def _count_compare_rows(
     g: Graph,
     predicted: CountPolynomial,
 ) -> list[ClaimRow]:
-    try:
+    def build() -> list[ClaimRow]:
         oracle = count_by_size(g, semitotal(rule), conv)
-    except Exception as exc:
-        return [ClaimRow(claim, instance, rule.value, predicted.format(), "error", "UNDEFINED",
-                         f"{type(exc).__name__}: {exc}")]
-    rows = []
-    for i in range(1, g.n + 1):
-        pred = predicted[i] if i < len(predicted) else 0
-        act = oracle[i]
-        verdict = "PASS" if pred == act else "FAIL"
-        note = "predicted count is negative" if pred < 0 else ""
-        rows.append(ClaimRow(claim, f"{instance} i={i}", rule.value, str(pred), str(act), verdict, note))
-    return rows
+        rows = []
+        for i in range(1, g.n + 1):
+            pred = predicted[i] if i < len(predicted) else 0
+            verdict = "PASS" if pred == oracle[i] else "FAIL"
+            note = "predicted count is negative" if pred < 0 else ""
+            rows.append(ClaimRow(claim, f"{instance} i={i}", rule.value, str(pred), str(oracle[i]), verdict, note))
+        return rows
+
+    rows = _guarded(claim, instance, rule.value, predicted.format(), build)
+    return rows if isinstance(rows, list) else [rows]
 
 
 def _rows_count_star(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    from .polynomial import closed_form
-
     rows = []
     for n in range(3, budget):
         rows += _count_compare_rows("C-COUNT-star", f"K1,{n}", rule, conv, star(n), closed_form("star", n=n))
@@ -522,8 +516,6 @@ def _rows_count_star(budget: int, rule: WitnessRule, conv: Conventions) -> list[
 
 
 def _rows_count_kmn_small(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    from .polynomial import closed_form
-
     rows = []
     for m in (2, 3):
         for n in range(m, budget - m + 1):
@@ -537,8 +529,6 @@ def _rows_count_kmn_small(budget: int, rule: WitnessRule, conv: Conventions) -> 
 
 
 def _rows_count_kmn_large(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    from .polynomial import closed_form
-
     rows = []
     for m in range(4, budget):
         for n in range(m, budget - m + 1):
@@ -552,8 +542,6 @@ def _rows_count_kmn_large(budget: int, rule: WitnessRule, conv: Conventions) -> 
 
 
 def _rows_count_friendship(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    from .polynomial import closed_form
-
     rows = []
     for n in range(2, (budget - 1) // 2 + 1):
         rows += _count_compare_rows("C-COUNT-Fn", f"F{n}", rule, conv, friendship(n),
@@ -576,25 +564,18 @@ def _connected_catalog(budget: int) -> list[Graph]:
     return out
 
 
-def _rows_half_bound(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for g in _connected_catalog(budget):
-        def compute(g=g):
-            return _gt2(g, rule, conv)
+def _half_bound_row(g: Graph, rule: WitnessRule, conv: Conventions) -> ClaimRow:
+    value = _gt2(g, rule, conv)
+    if value is None:
+        return ClaimRow("L-half", g.name, rule.value, f"<= {g.n}/2", "undefined", "UNDEFINED",
+                        "no semitotal dominating set under this rule")
+    verdict = "PASS" if 2 * value <= g.n else "FAIL"
+    return ClaimRow("L-half", g.name, rule.value, f"<= {g.n}/2", str(value), verdict)
 
-        try:
-            value = compute()
-        except Exception as exc:
-            rows.append(ClaimRow("L-half", g.name, rule.value, f"<= {g.n}/2", "error", "UNDEFINED",
-                                 f"{type(exc).__name__}: {exc}"))
-            continue
-        if value is None:
-            rows.append(ClaimRow("L-half", g.name, rule.value, f"<= {g.n}/2", "undefined", "UNDEFINED",
-                                 "no semitotal dominating set under this rule"))
-            continue
-        verdict = "PASS" if 2 * value <= g.n else "FAIL"
-        rows.append(ClaimRow("L-half", g.name, rule.value, f"<= {g.n}/2", str(value), verdict))
-    return rows
+
+def _rows_half_bound(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
+    return [_guarded("L-half", g.name, rule.value, f"<= {g.n}/2", lambda g=g: _half_bound_row(g, rule, conv))
+            for g in _connected_catalog(budget)]
 
 
 @lru_cache(maxsize=None)
@@ -687,26 +668,25 @@ def _poly_equality_row(
     conv: Conventions,
     g: Graph,
 ) -> ClaimRow:
-    try:
+    def build() -> ClaimRow:
         d_plain = count_by_size(g, PLAIN, conv)
         d_semi = count_by_size(g, semitotal(rule), conv)
         gt2 = _gt2(g, rule, conv)
-    except Exception as exc:
-        return ClaimRow(claim, instance, rule.value, "equal polynomials", "error", "UNDEFINED",
-                        f"{type(exc).__name__}: {exc}")
-    fd = d_plain.first_difference(d_semi)
-    verdict = "PASS" if fd is None else "FAIL"
-    if gt2 is None:
-        restricted = "undefined"
-    else:
-        restricted = str(all(d_plain[i] == d_semi[i] for i in range(gt2, g.n + 1)))
-    details = (
-        ("first_difference", "none" if fd is None else str(fd)),
-        ("gamma_t2", _show(gt2)),
-        ("equal_from_gamma_t2", restricted),
-    )
-    return ClaimRow(claim, instance, rule.value, d_plain.format(), d_semi.format(), verdict,
-                    "literal claim is full equality; details give the restricted comparison", details)
+        fd = d_plain.first_difference(d_semi)
+        verdict = "PASS" if fd is None else "FAIL"
+        if gt2 is None:
+            restricted = "undefined"
+        else:
+            restricted = str(all(d_plain[i] == d_semi[i] for i in range(gt2, g.n + 1)))
+        details = (
+            ("first_difference", "none" if fd is None else str(fd)),
+            ("gamma_t2", _show(gt2)),
+            ("equal_from_gamma_t2", restricted),
+        )
+        return ClaimRow(claim, instance, rule.value, d_plain.format(), d_semi.format(), verdict,
+                        "literal claim is full equality; details give the restricted comparison", details)
+
+    return _guarded(claim, instance, rule.value, "equal polynomials", build)
 
 
 def _rows_poly_trees(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
@@ -739,6 +719,21 @@ _SPLIT_PARAMS = (
 )
 
 
+def _split_row(instance: str, rule: WitnessRule, conv: Conventions, g: Graph) -> ClaimRow:
+    d_plain = count_by_size(g, PLAIN, conv)
+    d_total = count_by_size(g, TOTAL, conv)
+    d_semi = count_by_size(g, semitotal(rule), conv)
+    fd_t = d_plain.first_difference(d_total)
+    fd_s = d_plain.first_difference(d_semi)
+    verdict = "PASS" if fd_t is None and fd_s is None else "FAIL"
+    details = (
+        ("first_difference_plain_vs_semitotal", "none" if fd_s is None else str(fd_s)),
+        ("first_difference_plain_vs_total", "none" if fd_t is None else str(fd_t)),
+    )
+    return ClaimRow("T-split", instance, rule.value, d_plain.format(), d_semi.format(),
+                    verdict, "compares plain, total and semitotal counts", details)
+
+
 def _rows_split(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
     rows = []
     for c, i, p, seed in _SPLIT_PARAMS:
@@ -750,23 +745,8 @@ def _rows_split(budget: int, rule: WitnessRule, conv: Conventions) -> list[Claim
             rows.append(ClaimRow("T-split", instance, rule.value, "equal polynomials", "skipped",
                                  "N/A", "instance has a dominating vertex"))
             continue
-        try:
-            d_plain = count_by_size(g, PLAIN, conv)
-            d_total = count_by_size(g, TOTAL, conv)
-            d_semi = count_by_size(g, semitotal(rule), conv)
-        except Exception as exc:
-            rows.append(ClaimRow("T-split", instance, rule.value, "equal polynomials", "error",
-                                 "UNDEFINED", f"{type(exc).__name__}: {exc}"))
-            continue
-        fd_t = d_plain.first_difference(d_total)
-        fd_s = d_plain.first_difference(d_semi)
-        verdict = "PASS" if fd_t is None and fd_s is None else "FAIL"
-        details = (
-            ("first_difference_plain_vs_semitotal", "none" if fd_s is None else str(fd_s)),
-            ("first_difference_plain_vs_total", "none" if fd_t is None else str(fd_t)),
-        )
-        rows.append(ClaimRow("T-split", instance, rule.value, d_plain.format(), d_semi.format(),
-                             verdict, "compares plain, total and semitotal counts", details))
+        rows.append(_guarded("T-split", instance, rule.value, "equal polynomials",
+                             lambda g=g, instance=instance: _split_row(instance, rule, conv, g)))
     return rows
 
 
@@ -779,18 +759,17 @@ def _stab_value_row(
     predicted: int,
     note: str = "",
 ) -> ClaimRow:
-    try:
+    def build() -> ClaimRow:
         hit = stability_witness(g, rule, conv, RemovalPolicy.SKIP_SET, budget=g.n)
-    except Exception as exc:
-        return ClaimRow(claim, instance, rule.value, _show(predicted), "error", "UNDEFINED",
-                        f"{type(exc).__name__}: {exc}")
-    if hit is None:
-        return ClaimRow(claim, instance, rule.value, _show(predicted), "undefined", "FAIL",
-                        (note + "; " if note else "") + "no removal changes the value")
-    k, witness = hit
-    verdict = "PASS" if k == predicted else "FAIL"
-    details = (("witness", str(bits_list(witness))),)
-    return ClaimRow(claim, instance, rule.value, _show(predicted), str(k), verdict, note, details)
+        if hit is None:
+            return ClaimRow(claim, instance, rule.value, _show(predicted), "undefined", "FAIL",
+                            (note + "; " if note else "") + "no removal changes the value")
+        k, witness = hit
+        verdict = "PASS" if k == predicted else "FAIL"
+        details = (("witness", str(bits_list(witness))),)
+        return ClaimRow(claim, instance, rule.value, _show(predicted), str(k), verdict, note, details)
+
+    return _guarded(claim, instance, rule.value, _show(predicted), build, note)
 
 
 def _rows_stab_kmn(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
@@ -885,55 +864,46 @@ def _rows_stab_fbs(budget: int, rule: WitnessRule, conv: Conventions) -> list[Cl
 REGISTRY: dict[str, Claim] = {
     c.id: c
     for c in (
-        Claim("T1.i", "paths and cycles: semitotal number equals ceil(2n/5)", RULES_BOTH, _rows_t1_i),
-        Claim("T1.ii", "wheel of order n: semitotal number equals ceil((n-1)/3)", RULES_BOTH, _rows_t1_ii),
-        Claim("T1.iii", "friendship graph with n triangles: semitotal number equals n", RULES_BOTH, _rows_t1_iii),
-        Claim("T1.iv", "book graph with n pages: semitotal number equals n+1", RULES_BOTH, _rows_t1_iv),
-        Claim("T1.v", "complete bipartite: min(m,n) for 2<=m,n<=4; 4 for m,n>=5", RULES_BOTH, _rows_t1_v),
-        Claim("T2.2.i", "paths: semitotal minus plain follows a piecewise range table", RULES_BOTH, _rows_t22_i),
-        Claim("T2.2.ii", "Petersen graph: semitotal number equals domination number", RULES_BOTH, _rows_t22_ii),
-        Claim("T2.2.iii", "books: semitotal number exceeds domination number by n-1", RULES_BOTH, _rows_t22_iii),
-        Claim("T2.2.iv", "friendship graphs: semitotal minus domination equals n-1", RULES_BOTH, _rows_t22_iv),
-        Claim("T2.2.v", "stars: semitotal minus domination equals n-1", RULES_BOTH, _rows_t22_v),
-        Claim("T2.2.vi", "wheels: semitotal minus domination equals ceil((n-1)/3)-1", RULES_BOTH, _rows_t22_vi),
-        Claim("T2.2.vii", "complete bipartite: difference is m-2 for m<=4, else 2", RULES_BOTH, _rows_t22_vii),
-        Claim("T-corona", "corona: value at most gt2(G)+gt2(H)(|G|-gt2(G)), sharp for complete H",
-              RULES_BOTH, _rows_corona),
-        Claim("T-join", "join of non-complete graphs of order >=3: min of factor values and 4",
-              RULES_BOTH, _rows_join),
-        Claim("T-joinK", "complete graph joined to non-complete H: value equals H's value",
-              RULES_BOTH, _rows_join_complete),
-        Claim("T-grid", "path grid: ceil(2n/5)*ceil(m/3) + floor(m/3)*(n-ceil(2n/5))", RULES_BOTH, _rows_grid),
-        Claim("C-COUNT-star", "stars: the n leaves form the only semitotal dominating set", RULES_BOTH,
-              _rows_count_star),
-        Claim("C-COUNT-Kmn-small", "complete bipartite counts via binomials, small part 2..3", RULES_BOTH,
+        Claim("T1.i", "paths and cycles: semitotal number equals ceil(2n/5)", _rows_t1_i),
+        Claim("T1.ii", "wheel of order n: semitotal number equals ceil((n-1)/3)", _rows_t1_ii),
+        Claim("T1.iii", "friendship graph with n triangles: semitotal number equals n", _rows_t1_iii),
+        Claim("T1.iv", "book graph with n pages: semitotal number equals n+1", _rows_t1_iv),
+        Claim("T1.v", "complete bipartite: min(m,n) for 2<=m,n<=4; 4 for m,n>=5", _rows_t1_v),
+        Claim("T2.2.i", "paths: semitotal minus plain follows a piecewise range table", _rows_t22_i),
+        Claim("T2.2.ii", "Petersen graph: semitotal number equals domination number", _rows_t22_ii),
+        Claim("T2.2.iii", "books: semitotal number exceeds domination number by n-1", _rows_t22_iii),
+        Claim("T2.2.iv", "friendship graphs: semitotal minus domination equals n-1", _rows_t22_iv),
+        Claim("T2.2.v", "stars: semitotal minus domination equals n-1", _rows_t22_v),
+        Claim("T2.2.vi", "wheels: semitotal minus domination equals ceil((n-1)/3)-1", _rows_t22_vi),
+        Claim("T2.2.vii", "complete bipartite: difference is m-2 for m<=4, else 2", _rows_t22_vii),
+        Claim("T-corona", "corona: value at most gt2(G)+gt2(H)(|G|-gt2(G)), sharp for complete H", _rows_corona),
+        Claim("T-join", "join of non-complete graphs of order >=3: min of factor values and 4", _rows_join),
+        Claim("T-joinK", "complete graph joined to non-complete H: value equals H's value", _rows_join_complete),
+        Claim("T-grid", "path grid: ceil(2n/5)*ceil(m/3) + floor(m/3)*(n-ceil(2n/5))", _rows_grid),
+        Claim("C-COUNT-star", "stars: the n leaves form the only semitotal dominating set", _rows_count_star),
+        Claim("C-COUNT-Kmn-small", "complete bipartite counts via binomials, small part 2..3",
               _rows_count_kmn_small),
-        Claim("C-COUNT-Kmn-large", "complete bipartite counts via binomials, small part >=4", RULES_BOTH,
+        Claim("C-COUNT-Kmn-large", "complete bipartite counts via binomials, small part >=4",
               _rows_count_kmn_large),
-        Claim("C-COUNT-Fn", "friendship counts: 2^n * C(n, i-n) sets of size i", RULES_BOTH,
-              _rows_count_friendship),
-        Claim("L-half", "connected graphs on n>=4 vertices: semitotal number at most n/2", RULES_BOTH,
-              _rows_half_bound),
-        Claim("T-half", "trees attaining half order: pendant-path family or the 3-leaf star", RULES_BOTH,
-              _rows_t_half),
+        Claim("C-COUNT-Fn", "friendship counts: 2^n * C(n, i-n) sets of size i", _rows_count_friendship),
+        Claim("L-half", "connected graphs on n>=4 vertices: semitotal number at most n/2", _rows_half_bound),
+        Claim("T-half", "trees attaining half order: pendant-path family or the 3-leaf star", _rows_t_half),
         Claim("T-halfgraph", "min-degree-2 graphs attaining half order: C6, C8, K4 spanning subgraphs, "
-              "rooted 4-cycle products", RULES_BOTH, _rows_t_halfgraph),
-        Claim("T-poly-T", "pendant-path trees: semitotal count polynomial equals the plain one", RULES_BOTH,
-              _rows_poly_trees),
+              "rooted 4-cycle products", _rows_t_halfgraph),
+        Claim("T-poly-T", "pendant-path trees: semitotal count polynomial equals the plain one", _rows_poly_trees),
         Claim("T-poly-diamond", "rooted 4-cycle products: semitotal count polynomial equals the plain one",
-              RULES_BOTH, _rows_poly_diamond),
+              _rows_poly_diamond),
         Claim("T-split", "connected split graphs without a dominating vertex: plain, total and semitotal "
-              "counts coincide", RULES_BOTH, _rows_split),
-        Claim("T4-stab-Kmn", "complete bipartite stability: 0 / 1 / m-3 by small-part size", RULES_BOTH,
-              _rows_stab_kmn),
-        Claim("T4-stab-path", "path stability by n mod 5: 1, 2 or 3", RULES_BOTH, _rows_stab_path),
-        Claim("T4-stab-cycle", "cycle stability by n mod 5: 1, 2 or 3", RULES_BOTH, _rows_stab_cycle),
-        Claim("T4-stab-wheel", "wheel stability by n mod 3: 1, 2 or 3", RULES_BOTH, _rows_stab_wheel),
-        Claim("T4-stab-joinpaths", "join of two paths: path stability table, n-7 beyond n=10", RULES_BOTH,
+              "counts coincide", _rows_split),
+        Claim("T4-stab-Kmn", "complete bipartite stability: 0 / 1 / m-3 by small-part size", _rows_stab_kmn),
+        Claim("T4-stab-path", "path stability by n mod 5: 1, 2 or 3", _rows_stab_path),
+        Claim("T4-stab-cycle", "cycle stability by n mod 5: 1, 2 or 3", _rows_stab_cycle),
+        Claim("T4-stab-wheel", "wheel stability by n mod 3: 1, 2 or 3", _rows_stab_wheel),
+        Claim("T4-stab-joinpaths", "join of two paths: path stability table, n-7 beyond n=10",
               _rows_stab_joinpaths),
-        Claim("T4-stab-grid", "path grid stability equals ceil(2n/5)", RULES_BOTH, _rows_stab_grid),
+        Claim("T4-stab-grid", "path grid stability equals ceil(2n/5)", _rows_stab_grid),
         Claim("T4-stab-FBS", "stability of friendship (2), book (1; derivation gives 2) and star (1)",
-              RULES_BOTH, _rows_stab_fbs),
+              _rows_stab_fbs),
     )
 }
 
@@ -1058,6 +1028,6 @@ def run_claims(
     selected = [c for cid, c in REGISTRY.items() if fnmatch(cid, pattern)]
     rows: list[ClaimRow] = []
     for claim in selected:
-        for rule in claim.rules:
+        for rule in WitnessRule:
             rows.extend(claim.builder(budget, rule, conv))
     return VerificationReport(rows, [c.id for c in selected], pattern, budget, conv)

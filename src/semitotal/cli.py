@@ -17,7 +17,7 @@ from .domination import (
     domination_number,
     semitotal,
 )
-from .errors import BudgetExceededError, CapacityError, EmptyGraphError, IsolatesError, ResampleBudgetError
+from .errors import COMPUTATION_ERRORS, CapacityError
 from .families import (
     book,
     complete,
@@ -80,33 +80,36 @@ def _format_from_flag(value: str) -> GraphFormat:
     return GraphFormat.EDGE_LIST if value == "edgelist" else GraphFormat.GRAPH6
 
 
-def _read_text(path_arg: str) -> str:
-    if path_arg == "-":
-        return sys.stdin.read()
-    with open(path_arg, "r", encoding="ascii") as fh:
-        return fh.read()
+def _read_graph(path_arg: str, fmt: GraphFormat) -> Graph:
+    """Read and parse a graph file ('-' for stdin).
+
+    An unreadable file or malformed text is a usage error; a graph beyond the
+    vertex capacity is a computation error, as for any other source.
+    """
+    try:
+        if path_arg == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path_arg, "r", encoding="ascii") as fh:
+                text = fh.read()
+        return parse_graph(text, fmt)
+    except CapacityError:
+        raise
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise _UsageError(f"could not read graph {path_arg!r}: {exc}") from None
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
     if args.family:
         return _parse_family(args.family)
     if args.input:
-        text = _read_text(args.input)
-        try:
-            return parse_graph(text, _format_from_flag(args.format))
-        except CapacityError:
-            raise
-        except ValueError as exc:
-            raise _UsageError(f"could not parse graph: {exc}") from None
+        return _read_graph(args.input, _format_from_flag(args.format))
     raise _UsageError("provide a graph via --family or --input")
 
 
 def _graph_source(spec: str, in_format: GraphFormat) -> Graph:
     if spec.startswith("@"):
-        try:
-            return parse_graph(_read_text(spec[1:]), in_format)
-        except ValueError as exc:
-            raise _UsageError(f"could not parse graph {spec!r}: {exc}") from None
+        return _read_graph(spec[1:], in_format)
     return _parse_family(spec)
 
 
@@ -201,7 +204,7 @@ def cli(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 1
-    except (BudgetExceededError, EmptyGraphError, IsolatesError, ResampleBudgetError, CapacityError) as exc:
+    except COMPUTATION_ERRORS as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,3 +19,8 @@ class BudgetExceededError(ValueError):
 
 class ResampleBudgetError(RuntimeError):
     """Random generator exhausted its retry budget without a usable sample."""
+
+
+# The failures a computation may report on a legal call.  The CLI maps them to
+# exit code 2 and the claim harness to an UNDEFINED row; anything else is a bug.
+COMPUTATION_ERRORS = (BudgetExceededError, EmptyGraphError, IsolatesError, ResampleBudgetError, CapacityError)

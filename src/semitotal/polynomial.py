@@ -42,10 +42,6 @@ class CountPolynomial:
     def __hash__(self) -> int:
         return hash(self._stripped())
 
-    def equals(self, other: "CountPolynomial") -> bool:
-        """Coefficientwise equality after zero-padding to a common length."""
-        return self == other
-
     def first_difference(self, other: "CountPolynomial") -> int | None:
         """Least index where the coefficients differ, or None if equal."""
         a, b = self.coeffs, other.coeffs

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from semitotal import (
+    BudgetExceededError,
     Conventions,
     PLAIN,
     SEMITOTAL_EXACT,
@@ -187,3 +190,38 @@ def test_empty_pattern_yields_empty_report():
     assert report.claim_order == []
     assert json.loads(report.to_json())["report"] == []
     assert report.to_csv().splitlines() == ["claim,instance,rule,predicted,oracle,verdict,note"]
+
+
+def test_programming_error_in_oracle_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken oracle")
+
+    monkeypatch.setattr("semitotal.claims.domination_number", broken)
+    with pytest.raises(TypeError, match="broken oracle"):
+        run_claims("T1.iii", budget=7)
+
+
+@pytest.mark.parametrize("oracle, pattern", [
+    ("domination_number", "T1.*"),
+    ("domination_number", "L-half"),
+    ("domination_number", "T-corona"),
+    ("count_by_size", "C-COUNT-Fn"),
+    ("count_by_size", "T-poly-diamond"),
+    ("count_by_size", "T-split"),
+    ("stability_witness", "T4-stab-FBS"),
+])
+def test_typed_error_becomes_undefined_row(monkeypatch, oracle, pattern):
+    def over_budget(*args, **kwargs):
+        raise BudgetExceededError("too large")
+
+    monkeypatch.setattr(f"semitotal.claims.{oracle}", over_budget)
+    report = run_claims(pattern, budget=7)
+    computed = [r for r in report.rows if r.oracle != "skipped"]
+    assert computed
+    for row in computed:
+        assert (row.verdict, row.oracle) == ("UNDEFINED", "error")
+        assert row.note.endswith("BudgetExceededError: too large")
+    # a row's own note is kept ahead of the error
+    if pattern == "T4-stab-FBS":
+        row = next(r for r in computed if r.instance == "B1 (statement)")
+        assert row.note == "statement value; BudgetExceededError: too large"

@@ -155,6 +155,36 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys):
     assert "self-loop" in err
 
 
+def test_missing_input_file_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "num", "--input", str(tmp_path / "missing.txt"))
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_non_ascii_input_file_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"4\n0 1\xff\n")
+    code, _, err = run(capsys, "num", "--input", str(f))
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_missing_product_operand_file_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "product", "join", "--left", f"@{tmp_path / 'missing.txt'}",
+                       "--right", "path:3")
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_graph_beyond_capacity_exits_2_from_either_file_path(tmp_path, capsys):
+    f = tmp_path / "big.txt"
+    f.write_text("65\n0 1\n", encoding="ascii")
+    for argv in (["num", "--input", str(f)], ["product", "join", "--left", f"@{f}", "--right", "path:3"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "computation error" in err
+
+
 def test_help_exits_zero():
     import pytest
 

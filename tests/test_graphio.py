@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semitotal import (
     CapacityError,
@@ -86,11 +87,25 @@ def test_round_trip_petersen():
         assert parse_graph(emit_graph(petersen(), fmt), fmt).adj == petersen().adj
 
 
-@given(graphs(min_n=0, max_n=12))
+@given(graphs(min_n=0, max_n=64))
 @settings(max_examples=80, deadline=None)
 def test_round_trip_random(g):
     for fmt in GraphFormat:
         assert parse_graph(emit_graph(g, fmt), fmt).adj == g.adj
+
+
+_GRAPH6_BYTES = st.characters(min_codepoint=63, max_codepoint=126)
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789 -#\n"), st.text(alphabet=_GRAPH6_BYTES)),
+       st.sampled_from(list(GraphFormat)))
+@settings(max_examples=200, deadline=None)
+def test_parse_graph_raises_only_value_errors(text, fmt):
+    try:
+        g = parse_graph(text, fmt)
+    except ValueError:
+        return
+    assert 0 <= g.n <= 64
 
 
 def test_round_trip_at_graph6_size_limit():
