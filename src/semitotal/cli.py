@@ -72,6 +72,8 @@ def _parse_family(spec: str) -> Graph:
         raise _UsageError(f"family parameters must be integers: {spec!r}") from None
     try:
         return builder(*values)
+    except CapacityError:
+        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -114,8 +116,9 @@ def _graph_source(spec: str, in_format: GraphFormat) -> Graph:
 
 
 def _add_graph_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help="named family, e.g. path:11 or complete_bipartite:2,3")
-    p.add_argument("--input", help="graph file to read ('-' for stdin)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--family", help="named family, e.g. path:11 or complete_bipartite:2,3")
+    source.add_argument("--input", help="graph file to read ('-' for stdin)")
     p.add_argument("--format", choices=["edgelist", "graph6"], default="edgelist",
                    help="format of --input (default edgelist)")
 

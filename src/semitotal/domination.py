@@ -11,7 +11,6 @@ families; every caller must say which one it means.
 from __future__ import annotations
 
 import enum
-from array import array
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterable, Iterator
@@ -300,9 +299,63 @@ def minimum_sets(
 
 # -- exhaustive counting -------------------------------------------------
 
-# Largest coverage table count_by_size allocates, 8 bytes per subset: room
-# for n <= 27, above the 128 MiB that the default budget of 24 needs.
+# Largest working set count_by_size may hold.  Subset m of the n vertices is
+# bit m of a 2^n-bit int, which Python stores at 4 bytes per 30 bits, so
+# 2^(n+1)/15 bytes.  At most n + 5 such ints are alive at once: the n
+# membership patterns, the valid subsets and four temporaries while the
+# witness clause is applied; fewer while the size classes are counted.  With
+# one more for the small objects around them, the working set is at most
+# (n + 6) * 2^(n+1) / 15 bytes from n = 16 on (below that the small objects
+# dominate, a few KiB): room for n <= 27.
 _MAX_TABLE_BYTES = 1 << 30
+
+
+def _table_bytes(n: int) -> int:
+    return ((n + 6) << (n + 1)) // 15
+
+
+def _valid_subsets(g: Graph, variant: Variant) -> int:
+    """Bit m set iff subset m is a valid set.
+
+    Each clause is checked for all 2^n subsets at once: member[v] has bit m
+    set iff subset m contains v, so an OR of members is "contains one of
+    them" and an AND with it keeps the subsets that do.
+    """
+    n = g.n
+    span = 1 << n
+    member = []
+    for v in range(n):
+        # 2^v zeros, then 2^v ones, repeated up to 2^n bits by doubling
+        pattern, width = ((1 << (1 << v)) - 1) << (1 << v), 2 << v
+        while width < span:
+            pattern |= pattern << width
+            width <<= 1
+        member.append(pattern)
+    cover = _cover_masks(g, variant)
+    witness = _witness_masks(g, variant.rule) if variant.kind == "semitotal" else None
+    valid = (1 << span) - 1
+    for v in range(n):
+        hit = 0
+        for u in iter_bits(cover[v]):
+            hit |= member[u]
+        valid &= hit
+        if witness is not None:
+            # drop the subsets that contain v but none of its witnesses
+            lonely = valid & member[v]
+            for w in iter_bits(witness[v]):
+                lonely ^= lonely & member[w]
+            valid ^= lonely
+    return valid
+
+
+def _size_classes(n: int) -> list[int]:
+    """size[k] has bit m set iff subset m of the n vertices has k members."""
+    size = [1] + [0] * n
+    for v in range(n):
+        # adding vertex v lifts every subset of size k - 1 to size k
+        for k in range(v + 1, 0, -1):
+            size[k] |= size[k - 1] << (1 << v)
+    return size
 
 
 def count_by_size(
@@ -313,47 +366,23 @@ def count_by_size(
 ) -> CountPolynomial:
     """Number of valid sets of every cardinality, by full 2^n enumeration.
 
-    Pure enumeration with word-parallel feasibility tests; no closed form is
-    ever consulted, so the result can serve as the oracle for the counting
-    claims.  The complete-graph convention adds the singletons as valid sets.
+    Pure enumeration, bit-sliced: every clause is checked for all subsets at
+    once with big-int bitwise operations; no closed form is ever consulted,
+    so the result can serve as the oracle for the counting claims.  The
+    complete-graph convention adds the singletons as valid sets.
     """
     gated = _gate_applies(g, variant, conv)
     if not gated:
         _validate(g, variant)
     if g.n > budget:
         raise BudgetExceededError(f"graph has {g.n} vertices, counting budget is {budget}")
-    table_bytes = array("Q").itemsize << g.n
+    table_bytes = _table_bytes(g.n)
     if table_bytes > _MAX_TABLE_BYTES:
         raise BudgetExceededError(f"counting {g.n} vertices needs a {table_bytes}-byte table, "
                                   f"the limit is {_MAX_TABLE_BYTES}")
 
-    n = g.n
-    full = g.full_mask
-    cover = _cover_masks(g, variant)
-    witness = _witness_masks(g, variant.rule) if variant.kind == "semitotal" else None
-    coeffs = [0] * (n + 1)
-
-    covered = array("Q", [0]) * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        v = low.bit_length() - 1
-        cov = covered[m ^ low] | cover[v]
-        covered[m] = cov
-        if cov != full:
-            continue
-        if witness is not None:
-            rest = m
-            ok = True
-            while rest:
-                b = rest & -rest
-                if not m & witness[b.bit_length() - 1]:
-                    ok = False
-                    break
-                rest ^= b
-            if not ok:
-                continue
-        coeffs[m.bit_count()] += 1
-
+    valid = _valid_subsets(g, variant)
+    coeffs = [(valid & size).bit_count() for size in _size_classes(g.n)]
     if gated:
-        coeffs[1] += n
+        coeffs[1] += g.n
     return CountPolynomial(coeffs)

@@ -1,8 +1,13 @@
-"""Deterministic generators for the named graph families under study."""
+"""Deterministic generators for the named graph families under study.
+
+Builders hand their edges to ``Graph.from_edges`` as generators, so an order
+beyond the word budget raises ``CapacityError`` before any edge is made.
+"""
 
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from typing import Sequence
 
 from .errors import ResampleBudgetError
@@ -13,21 +18,21 @@ def path(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], f"P{n}")
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)), f"P{n}")
 
 
 def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices, edge (n-1, 0) closing the path."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+    edges = chain(((i, i + 1) for i in range(n - 1)), [(n - 1, 0)])
     return Graph.from_edges(n, edges, f"C{n}")
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = ((i, j) for i in range(n) for j in range(i + 1, n))
     return Graph.from_edges(n, edges, f"K{n}")
 
 
@@ -35,14 +40,14 @@ def star(leaves: int) -> Graph:
     """Star K_{1,leaves} with the hub at vertex 0."""
     if leaves < 1:
         raise ValueError(f"star needs at least 1 leaf, got {leaves}")
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)], f"K1,{leaves}")
+    return Graph.from_edges(leaves + 1, ((0, i) for i in range(1, leaves + 1)), f"K1,{leaves}")
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     """K_{m,n} with parts {0..m-1} and {m..m+n-1}."""
     if m < 1 or n < 1:
         raise ValueError(f"complete bipartite needs both parts >= 1, got ({m},{n})")
-    edges = [(i, m + j) for i in range(m) for j in range(n)]
+    edges = ((i, m + j) for i in range(m) for j in range(n))
     return Graph.from_edges(m + n, edges, f"K{m},{n}")
 
 
@@ -54,19 +59,16 @@ def wheel(n: int) -> Graph:
     """
     if n < 4:
         raise ValueError(f"wheel needs order >= 4, got {n}")
-    edges = [(0, i) for i in range(1, n)]
-    edges += [(i, i + 1) for i in range(1, n - 1)] + [(n - 1, 1)]
-    return Graph.from_edges(n, edges, f"W{n}")
+    spokes = ((0, i) for i in range(1, n))
+    rim = ((i, i + 1) for i in range(1, n - 1))
+    return Graph.from_edges(n, chain(spokes, rim, [(n - 1, 1)]), f"W{n}")
 
 
 def friendship(n: int) -> Graph:
     """n triangles sharing the center vertex 0; triangle i uses (2i-1, 2i)."""
     if n < 1:
         raise ValueError(f"friendship graph needs n >= 1 triangles, got {n}")
-    edges = []
-    for i in range(1, n + 1):
-        a, b = 2 * i - 1, 2 * i
-        edges += [(0, a), (0, b), (a, b)]
+    edges = (e for a in range(1, 2 * n, 2) for e in ((0, a), (0, a + 1), (a, a + 1)))
     return Graph.from_edges(2 * n + 1, edges, f"F{n}")
 
 
@@ -180,8 +182,6 @@ def disjoint_copies(g: Graph, copies: int) -> Graph:
     """Disjoint union of ``copies`` copies of ``g``."""
     if copies < 1:
         raise ValueError(f"need at least 1 copy, got {copies}")
-    edges = []
-    for c in range(copies):
-        off = c * g.n
-        edges += [(u + off, v + off) for u, v in g.edges()]
+    base = g.edges()
+    edges = ((u + c * g.n, v + c * g.n) for c in range(copies) for u, v in base)
     return Graph.from_edges(copies * g.n, edges, f"{copies}x{g.name or 'G'}")

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import pytest
 
-from semitotal.cli import cli
+from semitotal.cli import _FAMILIES, cli
 from semitotal import (
     BudgetExceededError,
+    CapacityError,
     GraphFormat,
     SEMITOTAL_WITHIN,
     count_by_size,
@@ -183,6 +185,31 @@ def test_graph_beyond_capacity_exits_2_from_either_file_path(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "computation error" in err
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, arity) in _FAMILIES.items() if arity))
+def test_huge_family_fails_before_building_edges(name, capsys):
+    builder, arity = _FAMILIES[name]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            builder(*[10**9] * arity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    spec = f"{name}:" + ",".join(["100000"] * arity)
+    code, _, err = run(capsys, "num", "--family", spec)
+    assert code == 2
+    assert "computation error" in err
+
+
+@pytest.mark.parametrize("command", ["num", "count", "stability"])
+def test_family_and_input_flags_are_exclusive(command, tmp_path, capsys):
+    code, out, err = run(capsys, command, "--family", "petersen", "--input", str(tmp_path / "missing.txt"))
+    assert code == 1
+    assert out == ""
+    assert "not allowed with" in err
 
 
 def test_help_exits_zero():

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from semitotal import (
     BudgetExceededError,
     Conventions,
+    CountPolynomial,
     EmptyGraphError,
     Graph,
     IsolatesError,
@@ -35,6 +38,7 @@ from semitotal import (
     semitotal,
     star,
 )
+from semitotal.domination import _MAX_TABLE_BYTES, _table_bytes, _valid_sets
 
 from conftest import graphs, relabeled
 from corpus import family_corpus, full_corpus
@@ -323,6 +327,76 @@ def test_count_matches_reference_enumeration():
             ref = valid_masks(g, variant)
             for i in range(g.n + 1):
                 assert counts[i] == sum(m.bit_count() == i for m in ref)
+
+
+def tallied_counts(g, variant, conv):
+    """By-size tally of the combination enumerator behind brute_force_number,
+    with the complete-graph gate and the isolate precondition restated from
+    their definitions."""
+    gated = variant.kind == "semitotal" and conv.complete_singleton and g.is_complete()
+    if variant.kind != "plain" and not gated and not g.is_isolate_free():
+        raise IsolatesError("reference: graph has an isolated vertex")
+    coeffs = [0] * (g.n + 1)
+    for m in _valid_sets(g, variant, range(1, g.n + 1)):
+        coeffs[m.bit_count()] += 1
+    if gated:
+        coeffs[1] += g.n
+    return CountPolynomial(coeffs)
+
+
+@given(graphs(min_n=1, max_n=10))
+@settings(max_examples=200, deadline=None)
+def test_count_matches_valid_set_tally_random(g):
+    for variant in ALL_VARIANTS:
+        for conv in (Conventions(), OFF):
+            try:
+                expected = tallied_counts(g, variant, conv)
+            except IsolatesError:
+                with pytest.raises(IsolatesError):
+                    count_by_size(g, variant, conv)
+                continue
+            assert count_by_size(g, variant, conv) == expected, (g.edges(), variant, conv)
+
+
+def test_plain_counts_follow_path_and_cycle_recurrence():
+    # Alikhani-Peng: D(G_n) = x (D(G_{n-1}) + D(G_{n-2}) + D(G_{n-3}))
+    def next_poly(a, b, c):
+        width = max(len(a), len(b), len(c))
+        pad = [p + [0] * (width - len(p)) for p in (a, b, c)]
+        return [0] + [x + y + z for x, y, z in zip(*pad)]
+
+    for builder, first, polys in (
+        (path, 1, [[0, 1], [0, 2, 1], [0, 1, 3, 1]]),
+        (cycle, 3, [[0, 3, 3, 1], [0, 0, 6, 4, 1], [0, 0, 5, 10, 5, 1]]),
+    ):
+        while first + len(polys) <= 24:
+            polys.append(next_poly(*polys[-3:]))
+        for n, expected in enumerate(polys, start=first):
+            if n >= 3:
+                assert count_by_size(builder(n), PLAIN) == CountPolynomial(expected), (builder, n)
+    counts = count_by_size(cycle(24), SEMITOTAL_WITHIN)
+    assert next(i for i in range(25) if counts[i]) == -(-48 // 5)
+
+
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_count_working_set_within_guard_figure(n):
+    g = cycle(n)
+    tracemalloc.start()
+    try:
+        count_by_size(g, SEMITOTAL_WITHIN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _table_bytes(n), (peak, _table_bytes(n))
+
+
+def test_count_refuses_oversized_working_set_before_allocating():
+    assert _table_bytes(27) <= _MAX_TABLE_BYTES < _table_bytes(28)
+    g = cycle(29)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        count_by_size(g, PLAIN, budget=64)
+    assert time.perf_counter() - start < 0.01
 
 
 def test_count_convention_gate_adds_singletons():

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import networkx as nx
 import pytest
 
 from semitotal import (
     Attach,
+    CapacityError,
     Graph,
     ResampleBudgetError,
     book,
@@ -145,3 +148,15 @@ def test_family_corpus_members_are_valid():
         assert g.is_isolate_free() or g.n == 1
         for v in range(g.n):
             assert not g.adj[v] >> v & 1
+
+
+def test_disjoint_copies_fails_before_building_edges():
+    g = cycle(5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            disjoint_copies(g, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
