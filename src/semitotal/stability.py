@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from itertools import combinations
+from typing import Iterator
 
 from .errors import BudgetExceededError, EmptyGraphError, IsolatesError
 from .graph import Graph
@@ -24,20 +24,25 @@ class RemovalPolicy(enum.Enum):
     COUNT_AS_CHANGED = "changed"
 
 
-def _residue_value(
-    g: Graph,
-    removed: int,
-    rule: WitnessRule,
-    conv: Conventions,
-    cache: dict[tuple[int, tuple[int, ...]], int | None],
-) -> int | None:
-    residue, _ = g.delete_vertices(removed)
-    if residue.n == 0 or not residue.is_isolate_free():
-        return None
-    key = (residue.n, residue.adj)
-    if key not in cache:
-        cache[key] = domination_number(residue, semitotal(rule), conv)
-    return cache[key]
+def _removal_sets(
+    key: tuple[int, ...], k: int, removed: int = 0, depth: int = 0, first: int = 0
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Removal sets of size k, lexicographically, each with its residue's key.
+
+    ``key`` is the re-indexed adjacency of the residue left by ``removed``
+    (``depth`` vertices).  Sets are extended depth-first by a vertex v above
+    every removed one, so v sits at residue index p = v - depth >= ``first``:
+    its row is dropped and the gap is closed in the others.
+    """
+    for p in range(first, len(key) - k + depth + 1):
+        low = (1 << p) - 1
+        high = ~low
+        child = tuple([r & low | r >> 1 & high for r in key[:p] + key[p + 1:]])
+        mask = removed | 1 << p + depth
+        if depth + 1 == k:
+            yield mask, child
+        else:
+            yield from _removal_sets(child, k, mask, depth + 1, p)
 
 
 def _stability_search(
@@ -53,19 +58,20 @@ def _stability_search(
         raise IsolatesError("stability requires an isolate-free graph")
     if g.n > budget:
         raise BudgetExceededError(f"graph has {g.n} vertices, stability budget is {budget}")
-    base = domination_number(g, semitotal(rule), conv)
-    cache: dict[tuple[int, tuple[int, ...]], int | None] = {}
+    variant = semitotal(rule)
+    base = domination_number(g, variant, conv)
+    out_of_domain = policy is RemovalPolicy.COUNT_AS_CHANGED
+    # Residue values by residue key; only a miss builds the residue graph.
+    cache: dict[tuple[int, ...], int | None] = {}
     for k in range(1, g.n):
-        for combo in combinations(range(g.n), k):
-            removed = 0
-            for v in combo:
-                removed |= 1 << v
-            value = _residue_value(g, removed, rule, conv, cache)
-            if value is None:
-                if policy is RemovalPolicy.COUNT_AS_CHANGED:
-                    return k, removed
-                continue
-            if value != base:
+        for removed, key in _removal_sets(g.adj, k):
+            if 0 in key:
+                value = None
+            elif key in cache:
+                value = cache[key]
+            else:
+                value = cache[key] = domination_number(g.delete_vertices(removed)[0], variant, conv)
+            if out_of_domain if value is None else value != base:
                 return k, removed
     return None
 

@@ -2,6 +2,8 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semitotal.cli import _FAMILIES, cli
 from semitotal import (
@@ -204,6 +206,13 @@ def test_huge_family_fails_before_building_edges(name, capsys):
     assert "computation error" in err
 
 
+def test_oversized_product_exits_two(capsys):
+    code, out, err = run(capsys, "product", "cartesian", "--left", "complete:64", "--right", "complete:64")
+    assert code == 2
+    assert out == ""
+    assert "computation error" in err
+
+
 @pytest.mark.parametrize("command", ["num", "count", "stability"])
 def test_family_and_input_flags_are_exclusive(command, tmp_path, capsys):
     code, out, err = run(capsys, command, "--family", "petersen", "--input", str(tmp_path / "missing.txt"))
@@ -218,3 +227,104 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli(["--help"])
     assert exc.value.code == 0
+
+
+# Fuzzing inputs stay tiny: integers are at most 7, so no family exceeds 16
+# vertices and no --budget is large.  Junk text has no digit, so it never
+# parses as an integer, and is never '-' (which would read stdin).
+_SMALL_INT = st.integers(-2, 7).map(str)
+_JUNK = st.text(st.characters(blacklist_categories=("Nd",)), max_size=4).filter(lambda t: t.lstrip("@") != "-")
+
+
+def _mostly(valid, junk=_JUNK):
+    """Three times in four a draw from ``valid``, otherwise junk."""
+    return st.tuples(st.integers(0, 3), valid, junk).map(lambda t: t[2] if t[0] == 0 else t[1])
+
+
+@st.composite
+def _spec(draw):
+    """A family spec, usually with the family's number of parameters."""
+    name = draw(_mostly(st.sampled_from(sorted(_FAMILIES))))
+    arity = _FAMILIES[name][1] if name in _FAMILIES else 1
+    count = draw(_mostly(st.just(arity), st.integers(0, 3)))
+    params = [draw(_mostly(st.integers(1, 7).map(str), _SMALL_INT)) for _ in range(count)]
+    return name + ":" + ",".join(params) if params else name
+
+
+_CHOICES = {
+    "--format": ["edgelist", "graph6"],
+    "--in-format": ["edgelist", "graph6"],
+    "--out-format": ["edgelist", "graph6"],
+    "--variant": ["plain", "total", "semitotal"],
+    "--rule": ["within2", "exact2"],
+    "--kn-convention": ["on", "off"],
+    "--policy": ["skip", "changed"],
+}
+_VARIANT_FLAGS = ["--format", "--variant", "--rule", "--kn-convention"]
+_FLAGS = {
+    "num": _VARIANT_FLAGS,
+    "count": _VARIANT_FLAGS + ["--budget"],
+    "poly": _VARIANT_FLAGS + ["--budget"],
+    "stability": ["--format", "--rule", "--policy", "--kn-convention", "--budget"],
+    "family": ["--format"],
+    "product": ["--in-format", "--out-format"],
+}
+_BAD_FLAGS = ["--input", "--family", "--left", "--bogus", "-x", "--", *_CHOICES]
+
+
+@st.composite
+def _argv(draw):
+    """A command line that is well formed more often than not."""
+    command = draw(_mostly(st.sampled_from(sorted(_FLAGS))))
+    if command == "family":
+        argv = [command, draw(_spec())]
+    elif command == "product":
+        kind = draw(_mostly(st.sampled_from(["corona", "cartesian", "join", "diamond"])))
+        argv = [command, kind, "--left", draw(_spec()), "--right", draw(_spec())]
+    else:
+        argv = [command, "--family", draw(_spec())]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(_mostly(st.sampled_from(_FLAGS.get(command, _BAD_FLAGS)), st.sampled_from(_BAD_FLAGS) | _JUNK))
+        if flag == "--budget":
+            argv += [flag, draw(_mostly(_SMALL_INT))]
+        elif flag in _CHOICES:
+            argv += [flag, draw(_mostly(st.sampled_from(_CHOICES[flag])))]
+        elif flag in ("--family", "--left"):
+            argv += [flag, draw(_spec())]
+        else:
+            argv.append(flag)
+    return argv
+
+
+def _exit_code(argv):
+    try:
+        return cli(argv)
+    except SystemExit as exc:  # only a --help abbreviation leaves through argparse
+        assert exc.code == 0, argv
+        return 0
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzzed_arguments_exit_cleanly(argv):
+    assert _exit_code(argv) in (0, 1, 2)
+
+
+@given(
+    st.one_of(st.text(max_size=40), st.text(alphabet="0123456789 -#\n", max_size=40))
+    .map(str.encode) | st.binary(max_size=40),
+    st.sampled_from(["edgelist", "graph6"]),
+    st.sampled_from([
+        ["num", "--input", "{}", "--format"],
+        ["num", "--variant", "plain", "--input", "{}", "--format"],
+        ["count", "--budget", "8", "--input", "{}", "--format"],
+        ["stability", "--budget", "8", "--input", "{}", "--format"],
+        ["product", "join", "--left", "@{}", "--right", "path:2", "--in-format"],
+    ]),
+)
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzzed_graph_files_exit_cleanly(tmp_path_factory, content, fmt, template):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-graph.txt"
+    path.write_bytes(content)
+    argv = [arg.format(path) for arg in template] + [fmt]
+    assert _exit_code(argv) in (0, 1, 2)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import networkx as nx
 import pytest
 
 from semitotal import (
+    CapacityError,
     Graph,
     book,
     cartesian,
@@ -114,3 +117,17 @@ def test_products_reject_empty_factors():
 def test_disjoint_union_layout():
     g = disjoint_union(complete(2), complete(2))
     assert g.edges() == [(0, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("compose", [cartesian, corona, rooted_product, join, disjoint_union],
+                         ids=lambda f: f.__name__)
+def test_oversized_product_fails_before_building_edges(compose):
+    k64 = complete(64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            compose(k64, k64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

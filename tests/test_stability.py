@@ -1,4 +1,9 @@
+import tracemalloc
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semitotal import (
     BudgetExceededError,
@@ -23,7 +28,9 @@ from semitotal import (
     wheel,
 )
 
-from conftest import relabeled
+from semitotal.stability import _removal_sets
+
+from conftest import graphs, relabeled
 
 EXACT = WitnessRule.EXACTLY_TWO
 WITHIN = WitnessRule.WITHIN_TWO
@@ -92,8 +99,6 @@ def test_search_is_self_consistent():
     for g in (path(9), cycle(8), complete_bipartite(3, 4)):
         base = domination_number(g, semitotal(EXACT))
         k, _ = stability_witness(g, EXACT)
-        from itertools import combinations
-
         for size in range(1, k):
             for combo in combinations(range(g.n), size):
                 residue, _ = g.delete_vertices(mask_from(combo))
@@ -127,3 +132,81 @@ def test_convention_matters_for_tiny_residues():
     off = stability_witness(cycle(4), EXACT, Conventions(False))
     assert on == (2, mask_from([0, 1]))
     assert off is None
+
+
+def _reference_search(g, rule, conv, policy, budget):
+    """The search as first written: every removal set builds its residue graph."""
+    if g.n < 2:
+        raise EmptyGraphError("stability needs a graph on at least 2 vertices")
+    if not g.is_isolate_free():
+        raise IsolatesError("stability requires an isolate-free graph")
+    if g.n > budget:
+        raise BudgetExceededError(f"graph has {g.n} vertices, stability budget is {budget}")
+    base = domination_number(g, semitotal(rule), conv)
+    cache = {}
+    for k in range(1, g.n):
+        for combo in combinations(range(g.n), k):
+            removed = mask_from(combo)
+            residue, _ = g.delete_vertices(removed)
+            value = None
+            if residue.n and residue.is_isolate_free():
+                key = (residue.n, residue.adj)
+                if key not in cache:
+                    cache[key] = domination_number(residue, semitotal(rule), conv)
+                value = cache[key]
+            if value is None:
+                if policy is RemovalPolicy.COUNT_AS_CHANGED:
+                    return k, removed
+            elif value != base:
+                return k, removed
+    return None
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _without_isolates(g):
+    """g plus an edge from every isolated vertex to the next vertex."""
+    extra = [(v, (v + 1) % g.n) for v in range(g.n) if not g.adj[v]]
+    return Graph.from_edges(g.n, g.edges() + extra)
+
+
+@given(
+    graphs(min_n=2, max_n=9).map(_without_isolates),
+    st.sampled_from(list(WitnessRule)),
+    st.sampled_from(list(RemovalPolicy)),
+    st.booleans(),
+    st.sampled_from([8, 16]),
+)
+@settings(max_examples=150, deadline=None)
+def test_search_matches_reference_random(g, rule, policy, singleton, budget):
+    conv = Conventions(singleton)
+    expected = _outcome(_reference_search, g, rule, conv, policy, budget)
+    assert _outcome(stability_witness, g, rule, conv, policy, budget) == expected
+
+
+@pytest.mark.parametrize("g", [path(7), cycle(8), complete_bipartite(3, 4), wheel(7)], ids=lambda g: g.name)
+def test_incremental_keys_match_deleted_residues(g):
+    for k in range(1, g.n):
+        sets = list(_removal_sets(g.adj, k))
+        assert [mask for mask, _ in sets] == [mask_from(c) for c in combinations(range(g.n), k)]
+        for mask, key in sets:
+            assert key == g.delete_vertices(mask)[0].adj, (g.name, bits_list(mask))
+
+
+def test_search_memory_stays_small():
+    # About 2^14 removal sets are scanned; their keys are built one path at a
+    # time, never a whole size level at once.
+    g = complete_bipartite(7, 7)
+    tracemalloc.start()
+    try:
+        hit = stability_witness(g, WITHIN, budget=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit is not None
+    assert peak < 1 << 19, peak
