@@ -24,8 +24,14 @@ class RemovalPolicy(enum.Enum):
     COUNT_AS_CHANGED = "changed"
 
 
+def _lower_twins(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Bit of each v's nearest lower twin u, where N(u) - v = N(v) - u; 0 if it has none."""
+    return tuple(max((1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)), default=0)
+                 for v in range(len(adj)))
+
+
 def _removal_sets(
-    key: tuple[int, ...], k: int, removed: int = 0, depth: int = 0, first: int = 0
+    key: tuple[int, ...], prev: tuple[int, ...], k: int, removed: int = 0, depth: int = 0, first: int = 0
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Removal sets of size k, lexicographically, each with its residue's key.
 
@@ -33,8 +39,17 @@ def _removal_sets(
     (``depth`` vertices).  Sets are extended depth-first by a vertex v above
     every removed one, so v sits at residue index p = v - depth >= ``first``:
     its row is dropped and the gap is closed in the others.
+
+    ``prev[v]`` is the bit of v's nearest lower twin (0 if none), and v is
+    taken only after that twin, so each twin class loses a prefix.  Nothing
+    is lost: swapping twins is an automorphism, so trading a removed v for an
+    unremoved lower twin gives a lexicographically smaller set whose residue
+    is isomorphic, with the same value and domain status.  The first hit in
+    lexicographic order is therefore always a prefix set.
     """
     for p in range(first, len(key) - k + depth + 1):
+        if prev[p + depth] & ~removed:
+            continue
         low = (1 << p) - 1
         high = ~low
         child = tuple([r & low | r >> 1 & high for r in key[:p] + key[p + 1:]])
@@ -42,7 +57,7 @@ def _removal_sets(
         if depth + 1 == k:
             yield mask, child
         else:
-            yield from _removal_sets(child, k, mask, depth + 1, p)
+            yield from _removal_sets(child, prev, k, mask, depth + 1, p)
 
 
 def _stability_search(
@@ -63,8 +78,9 @@ def _stability_search(
     out_of_domain = policy is RemovalPolicy.COUNT_AS_CHANGED
     # Residue values by residue key; only a miss builds the residue graph.
     cache: dict[tuple[int, ...], int | None] = {}
+    prev = _lower_twins(g.adj)
     for k in range(1, g.n):
-        for removed, key in _removal_sets(g.adj, k):
+        for removed, key in _removal_sets(g.adj, prev, k):
             if 0 in key:
                 value = None
             elif key in cache:

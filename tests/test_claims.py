@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from semitotal import (
     path,
     run_claims,
 )
+from semitotal.cli import cli
 
 # every identity the harness must know about, frozen; a missing id fails the build
 CLAIM_MANIFEST = [
@@ -225,3 +227,10 @@ def test_typed_error_becomes_undefined_row(monkeypatch, oracle, pattern):
     if pattern == "T4-stab-FBS":
         row = next(r for r in computed if r.instance == "B1 (statement)")
         assert row.note == "statement value; BudgetExceededError: too large"
+
+
+def test_verify_summary_matches_committed_b14_summary(capsys):
+    # The benchmark's own correctness gate, run here so that tier-1 sees it too.
+    expected = json.loads((Path(__file__).parents[1] / "perfbench/expected/verify_b14_summary.json").read_text())
+    assert cli(["verify", "--claims", "*", "--budget", "14", "--out", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"] == expected

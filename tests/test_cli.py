@@ -107,6 +107,12 @@ def test_stability_cli(capsys):
     assert payload["witness"] == [0]
 
 
+def test_stability_cli_twin_classes_past_the_full_scan_reach(capsys):
+    code, out, _ = run(capsys, "stability", "--family", "complete_bipartite:10,10", "--budget", "20")
+    assert code == 0
+    assert '"value": 18' in out
+
+
 def test_stability_no_change_exits_2(capsys):
     code, out, _ = run(capsys, "stability", "--family", "cycle:3", "--rule", "exact2")
     assert code == 2

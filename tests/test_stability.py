@@ -19,6 +19,7 @@ from semitotal import (
     cycle,
     domination_number,
     friendship,
+    join,
     mask_from,
     path,
     semitotal,
@@ -28,7 +29,7 @@ from semitotal import (
     wheel,
 )
 
-from semitotal.stability import _removal_sets
+from semitotal.stability import _lower_twins, _removal_sets
 
 from conftest import graphs, relabeled
 
@@ -189,19 +190,99 @@ def test_search_matches_reference_random(g, rule, policy, singleton, budget):
     assert _outcome(stability_witness, g, rule, conv, policy, budget) == expected
 
 
+@st.composite
+def blown_up_graphs(draw):
+    """A base graph on 2-5 vertices with each vertex replaced by a twin class.
+
+    Each class has 1-3 vertices, pairwise adjacent (true twins) or not (false
+    twins); the vertices are shuffled so that classes are not index runs.
+    """
+    base = draw(graphs(min_n=2, max_n=5))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=base.n, max_size=base.n).filter(lambda s: sum(s) <= 10))
+    cliques = draw(st.lists(st.booleans(), min_size=base.n, max_size=base.n))
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))
+    classes, at = [], 0
+    for size in sizes:
+        classes.append(order[at:at + size])
+        at += size
+    edges = [(u, v) for c, clique in zip(classes, cliques) if clique for u, v in combinations(c, 2)]
+    edges += [(u, v) for a, b in base.edges() for u in classes[a] for v in classes[b]]
+    return _without_isolates(Graph.from_edges(n, edges))
+
+
+@given(
+    blown_up_graphs(),
+    st.sampled_from(list(WitnessRule)),
+    st.sampled_from(list(RemovalPolicy)),
+    st.booleans(),
+    st.sampled_from([8, 16]),
+)
+@settings(max_examples=150, deadline=None)
+def test_search_matches_reference_on_twin_rich_graphs(g, rule, policy, singleton, budget):
+    conv = Conventions(singleton)
+    expected = _outcome(_reference_search, g, rule, conv, policy, budget)
+    assert _outcome(stability_witness, g, rule, conv, policy, budget) == expected
+
+
+def _twin_classes(g):
+    """Classes of N(u) - v = N(v) - u, found pair by pair."""
+    classes = []
+    for v in range(g.n):
+        for c in classes:
+            u = c[0]
+            if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+@given(st.one_of(graphs(min_n=2, max_n=8), blown_up_graphs().filter(lambda g: g.n <= 8)))
+@settings(max_examples=100, deadline=None)
+def test_pruned_sets_are_least_in_their_twin_orbits(g):
+    # Twin swaps fix every class, so a set's orbit is every set that meets
+    # each class in as many vertices; the least combination stands for it.
+    classes = _twin_classes(g)
+    for k in range(1, g.n):
+        least = {}
+        for combo in combinations(range(g.n), k):
+            least.setdefault(tuple(len(set(c) & set(combo)) for c in classes), combo)
+        sets = [mask for mask, _ in _removal_sets(g.adj, _lower_twins(g.adj), k)]
+        assert sets == [mask_from(c) for c in sorted(least.values())]
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (1, 6), (2, 2), (3, 5), (4, 4), (6, 7)])
+def test_kmn_scans_one_set_per_class_profile(m, n):
+    g = complete_bipartite(m, n)
+    prev = _lower_twins(g.adj)
+    assert sum(1 for k in range(1, g.n) for _ in _removal_sets(g.adj, prev, k)) == (m + 1) * (n + 1) - 2
+
+
+def test_kmn_past_the_full_scan_reach():
+    assert stability_witness(complete_bipartite(10, 10), WITHIN, budget=20) == (18, 523775)
+
+
 @pytest.mark.parametrize("g", [path(7), cycle(8), complete_bipartite(3, 4), wheel(7)], ids=lambda g: g.name)
 def test_incremental_keys_match_deleted_residues(g):
     for k in range(1, g.n):
-        sets = list(_removal_sets(g.adj, k))
+        sets = list(_removal_sets(g.adj, (0,) * g.n, k))
         assert [mask for mask, _ in sets] == [mask_from(c) for c in combinations(range(g.n), k)]
         for mask, key in sets:
             assert key == g.delete_vertices(mask)[0].adj, (g.name, bits_list(mask))
 
 
-def test_search_memory_stays_small():
-    # About 2^14 removal sets are scanned; their keys are built one path at a
-    # time, never a whole size level at once.
-    g = complete_bipartite(7, 7)
+@pytest.mark.parametrize("g", [complete_bipartite(3, 4), star(6), friendship(3)], ids=lambda g: g.name)
+def test_twin_pruned_keys_match_deleted_residues(g):
+    # Skipped branches must not shift the keys of the sets that are kept.
+    prev = _lower_twins(g.adj)
+    for k in range(1, g.n):
+        for mask, key in _removal_sets(g.adj, prev, k):
+            assert key == g.delete_vertices(mask)[0].adj, (g.name, bits_list(mask))
+
+
+def _search_peak(g):
     tracemalloc.start()
     try:
         hit = stability_witness(g, WITHIN, budget=14)
@@ -209,4 +290,18 @@ def test_search_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert hit is not None
+    return peak
+
+
+def test_search_memory_stays_small():
+    # Keys are built one path at a time, never a whole size level at once.
+    # K7,7 has two twin classes of 7, so at most 8 * 8 - 2 = 62 removal sets
+    # are scanned.
+    peak = _search_peak(complete_bipartite(7, 7))
+    assert peak < 1 << 19, peak
+
+
+def test_twin_free_search_memory_stays_small():
+    # No twins: 6,476 removal sets are scanned before the hit at k = 7.
+    peak = _search_peak(join(path(7), path(7)))
     assert peak < 1 << 19, peak
