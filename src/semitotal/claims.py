@@ -47,7 +47,7 @@ from .families import (
     star,
     wheel,
 )
-from .graph import Graph, bits_list
+from .graph import Graph, bits_list, iter_bits
 from .polynomial import CountPolynomial, closed_form
 from .products import cartesian, corona, join, rooted_product
 from .stability import RemovalPolicy, stability_witness
@@ -177,12 +177,40 @@ def _all_trees(n: int) -> tuple[Graph, ...]:
     return tuple(_from_nx(t, f"tree{n}") for t in nx.nonisomorphic_trees(n))
 
 
+def _tree_code(t: Graph) -> str:
+    """Canonical string of a tree: equal for two trees iff they are isomorphic.
+
+    The tree is rooted at its centre, found by stripping leaves layer by
+    layer, and encoded by the AHU string (Aho, Hopcroft & Ullman 1974): a
+    vertex is "(" + its children's strings in sorted order + ")".  A tree
+    with two centres takes the lesser of its two strings.
+    """
+    degree = [row.bit_count() for row in t.adj]
+    alive = t.full_mask
+    leaves = [v for v in range(t.n) if degree[v] <= 1]
+    while alive.bit_count() > 2:
+        stripped = []
+        for v in leaves:
+            alive &= ~(1 << v)
+            for u in iter_bits(t.adj[v] & alive):
+                degree[u] -= 1
+                if degree[u] == 1:
+                    stripped.append(u)
+        leaves = stripped
+
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(u, 1 << v) for u in iter_bits(t.adj[v] & ~parent))) + ")"
+
+    return min(code(c, 0) for c in iter_bits(alive))
+
+
 @lru_cache(maxsize=None)
 def _pendant_family_members(n: int) -> tuple[tuple[str, Graph], ...]:
     """Distinct pendant-path trees of order n, labeled by base and choices."""
     if n % 2:
         return ()
     out: list[tuple[str, Graph]] = []
+    codes: set[str] = set()
     for h in range(2, n // 2 + 1):
         extra = n - 2 * h
         if extra < 0 or extra % 2:
@@ -194,15 +222,18 @@ def _pendant_family_members(n: int) -> tuple[tuple[str, Graph], ...]:
             for long_at in combinations(range(h), long_count):
                 choices = [Attach.P4 if v in long_at else Attach.P2 for v in range(h)]
                 t = pendant_path_tree(base, choices)
-                if any(_isomorphic(t, seen) for _, seen in out):
+                code = _tree_code(t)
+                if code in codes:
                     continue
+                codes.add(code)
                 tag = ",".join("P4" if c is Attach.P4 else "P2" for c in choices)
                 out.append((f"base=tree{h}#{b_idx};attach={tag};n={n}", t))
     return tuple(out)
 
 
-def _in_pendant_family(t: Graph) -> bool:
-    return any(_isomorphic(t, member) for _, member in _pendant_family_members(t.n))
+@lru_cache(maxsize=None)
+def _pendant_family_codes(n: int) -> frozenset[str]:
+    return frozenset(_tree_code(t) for _, t in _pendant_family_members(n))
 
 
 # -- claim builders -------------------------------------------------------
@@ -329,7 +360,10 @@ def _rows_t22_ii(budget: int, rule: WitnessRule, conv: Conventions) -> list[Clai
     if budget < 10:
         return []
     g = petersen()
-    return [_value_row("T2.2.ii", "Petersen", rule.value, _gamma(g), lambda: _gt2(g, rule, conv))]
+    gamma = _guarded("T2.2.ii", "Petersen", rule.value, "domination number", lambda: _gamma(g))
+    if isinstance(gamma, ClaimRow):
+        return [gamma]
+    return [_value_row("T2.2.ii", "Petersen", rule.value, gamma, lambda: _gt2(g, rule, conv))]
 
 
 def _rows_t22_iii(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
@@ -440,8 +474,12 @@ def _rows_join(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimR
             if g.n + h.n > budget:
                 continue
             instance = f"({g.name})v({h.name})"
-            gv = _gt2(g, rule, conv)
-            hv = _gt2(h, rule, conv)
+            factors = _guarded("T-join", instance, rule.value, "min",
+                               lambda g=g, h=h: (_gt2(g, rule, conv), _gt2(h, rule, conv)))
+            if isinstance(factors, ClaimRow):
+                rows.append(factors)
+                continue
+            gv, hv = factors
             if gv is None or hv is None:
                 rows.append(ClaimRow("T-join", instance, rule.value, "min", "skipped", "UNDEFINED",
                                      "a factor's semitotal number is undefined under this rule"))
@@ -458,8 +496,11 @@ def _rows_join_complete(budget: int, rule: WitnessRule, conv: Conventions) -> li
         for h in _noncomplete_catalog():
             if g.n + h.n > budget:
                 continue
-            hv = _gt2(h, rule, conv)
             instance = f"({g.name})v({h.name})"
+            hv = _guarded("T-joinK", instance, rule.value, "H's value", lambda h=h: _gt2(h, rule, conv))
+            if isinstance(hv, ClaimRow):
+                rows.append(hv)
+                continue
             if hv is None:
                 rows.append(ClaimRow("T-joinK", instance, rule.value, "undefined", "skipped", "UNDEFINED",
                                      "the non-complete factor's value is undefined under this rule"))
@@ -578,6 +619,15 @@ def _rows_half_bound(budget: int, rule: WitnessRule, conv: Conventions) -> list[
             for g in _connected_catalog(budget)]
 
 
+_NEGATIVE_NOTE = "cycles outside the family must not attain half order"
+
+
+def _negative_cycle_row(n: int, rule: WitnessRule, conv: Conventions) -> ClaimRow:
+    value = _gt2(cycle(n), rule, conv)
+    verdict = "PASS" if value is not None and 2 * value != n else "FAIL"
+    return ClaimRow("T-halfgraph", f"negative C{n}", rule.value, f"!= {n}/2", _show(value), verdict, _NEGATIVE_NOTE)
+
+
 @lru_cache(maxsize=None)
 def _half_rows(budget: int, rule: WitnessRule) -> tuple[ClaimRow, ...]:
     """Rows for the half-order characterizations (bare conventions).
@@ -597,13 +647,17 @@ def _half_rows(budget: int, rule: WitnessRule) -> tuple[ClaimRow, ...]:
                                    lambda t=t: _gt2(t, rule, conv)))
     for n in range(4, tree_cap + 1):
         for idx, t in enumerate(_all_trees(n)):
-            value = _gt2(t, rule, conv)
+            instance, predicted = f"reverse tree{n}#{idx}", "pendant-path family or K1,3"
+            value = _guarded("T-half", instance, rule.value, predicted, lambda t=t: _gt2(t, rule, conv))
+            if isinstance(value, ClaimRow):
+                rows.append(value)
+                continue
             if value is None or 2 * value != n:
                 continue
-            member = _in_pendant_family(t) or _isomorphic(t, star(3))
+            code = _tree_code(t)
+            member = code in _pendant_family_codes(n) or code == _tree_code(star(3))
             verdict = "PASS" if member else "FAIL"
-            rows.append(ClaimRow("T-half", f"reverse tree{n}#{idx}", rule.value,
-                                 "pendant-path family or K1,3", "attains n/2", verdict,
+            rows.append(ClaimRow("T-half", instance, rule.value, predicted, "attains n/2", verdict,
                                  "" if member else "tree attains half order but is outside the family"))
 
     for n in (6, 8):
@@ -633,12 +687,8 @@ def _half_rows(budget: int, rule: WitnessRule) -> tuple[ClaimRow, ...]:
     for n in range(4, budget + 1, 2):
         if n in (4, 6, 8):
             continue
-        g = cycle(n)
-        value = _gt2(g, rule, conv)
-        verdict = "PASS" if value is not None and 2 * value != n else "FAIL"
-        rows.append(ClaimRow("T-halfgraph", f"negative C{n}", rule.value, f"!= {n}/2",
-                             _show(value), verdict,
-                             "cycles outside the family must not attain half order"))
+        rows.append(_guarded("T-halfgraph", f"negative C{n}", rule.value, f"!= {n}/2",
+                             lambda n=n: _negative_cycle_row(n, rule, conv), _NEGATIVE_NOTE))
     return tuple(rows)
 
 

@@ -198,7 +198,30 @@ def domination_number(
     variant: Variant,
     conv: Conventions = DEFAULT_CONVENTIONS,
 ) -> int | None:
-    """Minimum size of a valid set by iterative-deepening branch and bound.
+    """Minimum size of a valid set by the branch and bound of ``_minimum_set``.
+
+    Returns None when no valid set exists.
+    """
+    if _gate_applies(g, variant, conv):
+        return 1
+    _validate(g, variant)
+    best = _minimum_set(g, variant)
+    return None if best is None else best.bit_count()
+
+
+def _packing(reqs: list[int]) -> int:
+    """Size of a greedy packing of pairwise disjoint candidate masks: each one
+    needs its own member, so this many members are still needed."""
+    used = size = 0
+    for cands in reqs:
+        if not cands & used:
+            used |= cands
+            size += 1
+    return size
+
+
+def _minimum_set(g: Graph, variant: Variant) -> int | None:
+    """An optimal valid set as a mask, by iterative-deepening branch and bound.
 
     A search node lists its open requirements: each uncovered vertex, whose
     candidates are the allowed vertices covering it, and, for semitotal, each
@@ -211,12 +234,8 @@ def domination_number(
     candidate sets each need their own new member, so a greedy packing of
     them bounds the members still needed: it prunes nodes and sets the first
     deepening level.  Deterministic by construction.  Returns None when no
-    valid set exists.
+    valid set exists.  Applies no convention and assumes ``_validate`` passed.
     """
-    if _gate_applies(g, variant, conv):
-        return 1
-    _validate(g, variant)
-
     cover = _cover_masks(g, variant)
     witness = _witness_masks(g, variant.rule) if variant.kind == "semitotal" else None
     full = g.full_mask
@@ -246,28 +265,21 @@ def domination_number(
         out.sort(key=int.bit_count)
         return out
 
-    def packing(reqs: list[int]) -> int:
-        used = size = 0
-        for cands in reqs:
-            if not cands & used:
-                used |= cands
-                size += 1
-        return size
-
-    def search(chosen: int, covered: int, banned: int, budget: int) -> bool:
+    def search(chosen: int, covered: int, banned: int, budget: int) -> int | None:
         reqs = requirements(chosen, covered, banned)
         if reqs is None:
-            return False
+            return None
         if not reqs:
-            return True
-        if packing(reqs) > budget:
-            return False
+            return chosen
+        if _packing(reqs) > budget:
+            return None
         ban = banned
         for w in iter_bits(reqs[0]):
-            if search(chosen | 1 << w, covered | cover[w], ban, budget - 1):
-                return True
+            found = search(chosen | 1 << w, covered | cover[w], ban, budget - 1)
+            if found is not None:
+                return found
             ban |= 1 << w
-        return False
+        return None
 
     # Without candidates at the root some vertex cannot be covered at all.
     # Otherwise the whole allowed set is valid (each allowed vertex has a
@@ -276,10 +288,10 @@ def domination_number(
     reqs = requirements(0, 0, 0)
     if reqs is None:
         return None
-    k = max(packing(reqs), 1 if witness is None else 2)
-    while not search(0, 0, 0, k):
+    k = max(_packing(reqs), 1 if witness is None else 2)
+    while (found := search(0, 0, 0, k)) is None:
         k += 1
-    return k
+    return found
 
 
 def minimum_sets(

@@ -6,8 +6,17 @@ import enum
 from typing import Iterator
 
 from .errors import BudgetExceededError, EmptyGraphError, IsolatesError
-from .graph import Graph
-from .domination import Conventions, DEFAULT_CONVENTIONS, WitnessRule, domination_number, semitotal
+from .graph import Graph, iter_bits, mask_from
+from .domination import (
+    Conventions,
+    DEFAULT_CONVENTIONS,
+    WitnessRule,
+    _gate_applies,
+    _minimum_set,
+    _packing,
+    domination_number,
+    semitotal,
+)
 
 
 class RemovalPolicy(enum.Enum):
@@ -76,7 +85,58 @@ def _stability_search(
     variant = semitotal(rule)
     base = domination_number(g, variant, conv)
     out_of_domain = policy is RemovalPolicy.COUNT_AS_CHANGED
-    # Residue values by residue key; only a miss builds the residue graph.
+    adj, closed, full = g.adj, g.closed, g.full_mask
+    exact = rule is WitnessRule.EXACTLY_TWO
+    # Valid sets of size base, in original indices: the optimum of g, then of
+    # every solved residue whose value is base.  There are none when base is
+    # None or the gate's 1, and then every residue is solved.
+    pool = [] if base is None or _gate_applies(g, variant, conv) else [_minimum_set(g, variant)]
+
+    def still_valid(members: int, removed: int) -> bool:
+        """True iff ``members`` (disjoint from ``removed``) is valid in g - removed."""
+        cov = removed
+        for v in iter_bits(members):
+            cov |= closed[v]
+        if cov != full:
+            return False
+        for v in iter_bits(members):
+            others = members & ~(1 << v)
+            if not exact and adj[v] & others:
+                continue
+            # a witness at distance 2 needs a common neighbour that is still there
+            near = 0
+            for w in iter_bits(adj[v] & ~removed):
+                near |= adj[w]
+            if not (near & ~adj[v] if exact else near) & others:
+                return False
+        return True
+
+    def unchanged(removed: int, key: tuple[int, ...]) -> bool:
+        """True when the residue's value is certified to be base without building it:
+        a pool set still valid there gives at most base, a packing at least base."""
+        if not pool:
+            return False
+        last = len(key) - 1
+        if conv.complete_singleton and all(r.bit_count() == last for r in key):
+            return False  # gated: the complete residue has value 1
+        # pairwise disjoint closed neighbourhoods each need their own member,
+        # and a semitotal set has at least two
+        if base > 2 and _packing(sorted([r | 1 << i for i, r in enumerate(key)], key=int.bit_count)) < base:
+            return False
+        return any(not members & removed and still_valid(members, removed) for members in reversed(pool))
+
+    def solve(removed: int) -> int | None:
+        residue, old_to_new = g.delete_vertices(removed)
+        if _gate_applies(residue, variant, conv):
+            return 1
+        best = _minimum_set(residue, variant)
+        if best is None:
+            return None
+        if best.bit_count() == base:
+            pool.append(mask_from(old for old, new in old_to_new.items() if best >> new & 1))
+        return best.bit_count()
+
+    # Residue values by residue key; only a residue the screen cannot settle is built.
     cache: dict[tuple[int, ...], int | None] = {}
     prev = _lower_twins(g.adj)
     for k in range(1, g.n):
@@ -86,7 +146,7 @@ def _stability_search(
             elif key in cache:
                 value = cache[key]
             else:
-                value = cache[key] = domination_number(g.delete_vertices(removed)[0], variant, conv)
+                value = cache[key] = base if unchanged(removed, key) else solve(removed)
             if out_of_domain if value is None else value != base:
                 return k, removed
     return None

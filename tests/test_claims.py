@@ -1,11 +1,15 @@
+import hashlib
 import json
+import random
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from semitotal import (
     BudgetExceededError,
     Conventions,
+    Graph,
     PLAIN,
     SEMITOTAL_EXACT,
     SEMITOTAL_WITHIN,
@@ -21,6 +25,8 @@ from semitotal import (
     path,
     run_claims,
 )
+from semitotal import claims
+from semitotal.claims import _tree_code
 from semitotal.cli import cli
 
 # every identity the harness must know about, frozen; a missing id fails the build
@@ -203,26 +209,55 @@ def test_programming_error_in_oracle_propagates(monkeypatch):
         run_claims("T1.iii", budget=7)
 
 
+@pytest.fixture
+def fresh_half_rows():
+    # _half_rows is cached per (budget, rule): rows computed with a patched
+    # oracle must neither come from nor stay in the cache.
+    claims._half_rows.cache_clear()
+    yield
+    claims._half_rows.cache_clear()
+
+
+# Patterns whose oracle call once sat outside _guarded, so that the error
+# ended the run: the budget at which they have rows, and the instance whose
+# row the error now reaches.
+FORMERLY_UNGUARDED = {
+    "T-join": (7, "(P3)v(P3)"),
+    "T-joinK": (7, "(K1)v(P3)"),
+    "T2.2.ii": (10, "Petersen"),
+    "T-half": (7, "reverse tree4#0"),
+    "T-halfgraph": (10, "negative C10"),
+}
+
+
 @pytest.mark.parametrize("oracle, pattern", [
     ("domination_number", "T1.*"),
     ("domination_number", "L-half"),
     ("domination_number", "T-corona"),
+    ("domination_number", "T-join"),
+    ("domination_number", "T-joinK"),
+    ("domination_number", "T2.2.ii"),
+    ("domination_number", "T-half"),
+    ("domination_number", "T-halfgraph"),
     ("count_by_size", "C-COUNT-Fn"),
     ("count_by_size", "T-poly-diamond"),
     ("count_by_size", "T-split"),
     ("stability_witness", "T4-stab-FBS"),
 ])
-def test_typed_error_becomes_undefined_row(monkeypatch, oracle, pattern):
+def test_typed_error_becomes_undefined_row(monkeypatch, fresh_half_rows, oracle, pattern):
     def over_budget(*args, **kwargs):
         raise BudgetExceededError("too large")
 
+    budget, site = FORMERLY_UNGUARDED.get(pattern, (7, None))
     monkeypatch.setattr(f"semitotal.claims.{oracle}", over_budget)
-    report = run_claims(pattern, budget=7)
+    report = run_claims(pattern, budget=budget)
     computed = [r for r in report.rows if r.oracle != "skipped"]
     assert computed
     for row in computed:
         assert (row.verdict, row.oracle) == ("UNDEFINED", "error")
         assert row.note.endswith("BudgetExceededError: too large")
+    if site is not None:
+        assert site in {r.instance for r in computed}
     # a row's own note is kept ahead of the error
     if pattern == "T4-stab-FBS":
         row = next(r for r in computed if r.instance == "B1 (statement)")
@@ -234,3 +269,41 @@ def test_verify_summary_matches_committed_b14_summary(capsys):
     expected = json.loads((Path(__file__).parents[1] / "perfbench/expected/verify_b14_summary.json").read_text())
     assert cli(["verify", "--claims", "*", "--budget", "14", "--out", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"] == expected
+
+
+def test_verify_b12_output_is_byte_stable(capsys):
+    # sha256 of the whole report, witness masks and row details included;
+    # a change of any row or of its order shows here.
+    assert cli(["verify", "--claims", "*", "--budget", "12", "--out", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "42cdf65636ae7c80a6977d6da8e535c857ec245bf50f4007232131c081ae86e9")
+
+
+def _trees_up_to(n_max):
+    """Every tree on 1..n_max vertices, and a seeded relabelled copy of each."""
+    rng = random.Random(20240811)
+    out = []
+    for n in range(1, n_max + 1):
+        for t in (nx.nonisomorphic_trees(n) if n > 1 else [nx.empty_graph(1)]):
+            edges = list(t.edges())
+            perm = list(range(n))
+            rng.shuffle(perm)
+            out.append(Graph.from_edges(n, edges))
+            out.append(Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges]))
+    return out
+
+
+def test_tree_code_decides_isomorphism():
+    trees = _trees_up_to(9)
+    assert len(trees) == 2 * 95
+    codes = [_tree_code(t) for t in trees]
+    as_nx = []
+    for t in trees:
+        as_nx.append(nx.Graph())
+        as_nx[-1].add_nodes_from(range(t.n))
+        as_nx[-1].add_edges_from(t.edges())
+    for i in range(len(trees)):
+        for j in range(i, len(trees)):
+            same = trees[i].n == trees[j].n and nx.is_isomorphic(as_nx[i], as_nx[j])
+            assert (codes[i] == codes[j]) == same, (trees[i].edges(), trees[j].edges())

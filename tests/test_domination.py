@@ -38,7 +38,7 @@ from semitotal import (
     semitotal,
     star,
 )
-from semitotal.domination import _MAX_TABLE_BYTES, _table_bytes, _valid_sets
+from semitotal.domination import _MAX_TABLE_BYTES, _gate_applies, _is_valid, _minimum_set, _table_bytes, _valid_sets
 
 from conftest import graphs, relabeled
 from corpus import family_corpus, full_corpus
@@ -183,6 +183,28 @@ def test_solver_matches_brute_force_random(g):
                     domination_number(g, variant, conv)
                 continue
             assert domination_number(g, variant, conv) == expected
+
+
+@given(graphs(min_n=1, max_n=10))
+@settings(max_examples=150, deadline=None)
+def test_minimum_set_is_valid_and_optimal_random(g):
+    # domination_number counts the set _minimum_set returns; the convention
+    # only puts the complete-graph gate in front of it.
+    for variant in ALL_VARIANTS:
+        for conv in (Conventions(), OFF):
+            try:
+                expected = brute_force_number(g, variant, conv)
+            except IsolatesError:
+                continue  # _minimum_set runs only after the precondition
+            if _gate_applies(g, variant, conv):
+                assert expected == domination_number(g, variant, conv) == 1
+                continue
+            best = _minimum_set(g, variant)
+            if expected is None:
+                assert best is None, (g.edges(), variant)
+            else:
+                assert best is not None and _is_valid(g, variant, best), (g.edges(), variant)
+                assert best.bit_count() == expected, (g.edges(), variant)
 
 
 def test_solver_matches_brute_force_sixteen_vertices():

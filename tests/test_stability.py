@@ -305,3 +305,71 @@ def test_twin_free_search_memory_stays_small():
     # No twins: 6,476 removal sets are scanned before the hit at k = 7.
     peak = _search_peak(join(path(7), path(7)))
     assert peak < 1 << 19, peak
+
+
+def _agrees_with_reference(g):
+    for rule in WitnessRule:
+        for policy in RemovalPolicy:
+            for singleton in (True, False):
+                args = (g, rule, Conventions(singleton), policy, 16)
+                assert _outcome(stability_witness, *args) == _outcome(_reference_search, *args), args[1:4]
+
+
+def test_screen_leaves_complete_residues_to_the_gate():
+    # A triangle with a pendant vertex at two of its corners.  Removing both
+    # pendants leaves K3: its value is 1 by the convention, although the
+    # base optimum {0, 2} is still a valid pair there.
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 4), (1, 2), (2, 3)])
+    assert stability_witness(g, WITHIN, Conventions(True)) == (2, mask_from([3, 4]))
+    assert stability_witness(g, WITHIN, Conventions(False)) is None
+    _agrees_with_reference(g)
+
+
+def test_screen_needs_the_exact2_common_neighbour_left_in_place():
+    # A triangle 1-2-3 with the path 3-4-0.  The optimum of the residue
+    # without 0 is {1, 4}, a pair at distance 2 only through 3.  Removing 3
+    # leaves two K2 components, which have no exact2 set, so COUNT_AS_CHANGED
+    # stops there.
+    g = Graph.from_edges(5, [(0, 4), (1, 2), (1, 3), (2, 3), (3, 4)])
+    for singleton in (True, False):
+        assert stability_witness(g, EXACT, Conventions(singleton), RemovalPolicy.COUNT_AS_CHANGED) == (1, 1 << 3)
+    assert domination_number(g.delete_vertices(1 << 3)[0], semitotal(EXACT)) is None
+    _agrees_with_reference(g)
+
+
+def test_screen_needs_the_within2_common_neighbour_left_in_place():
+    g = Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (2, 3)])  # the path 3-2-1-0-4
+    _agrees_with_reference(g)
+
+
+def test_screen_needs_the_packing_bound():
+    # P6: a base-size pool set survives removals that lower the value.
+    _agrees_with_reference(Graph.from_edges(6, [(0, 1), (0, 5), (2, 3), (3, 4), (4, 5)]))
+
+
+@pytest.mark.parametrize("g", [path(7), path(9), star(4), friendship(3), wheel(6),
+                               Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])],
+                         ids=lambda g: g.name or "two-triangles")
+def test_count_as_changed_with_residues_outside_the_domain(g):
+    # Each graph has residues with isolated vertices or without any exact2
+    # set, and under COUNT_AS_CHANGED the first hit is one of them (for W6
+    # only at k = 3, after many screened residues).
+    hit = stability_witness(g, EXACT, policy=RemovalPolicy.COUNT_AS_CHANGED)
+    residue = g.delete_vertices(hit[1])[0]
+    assert not residue.is_isolate_free() or domination_number(residue, semitotal(EXACT)) is None
+    _agrees_with_reference(g)
+
+
+def test_screen_settles_most_join_residues(monkeypatch):
+    # Every residue of P7 v P7 with both sides left has the base value 2;
+    # building each one took 850 residue graphs.
+    calls = []
+    original = Graph.delete_vertices
+
+    def counted(self, remove):
+        calls.append(remove)
+        return original(self, remove)
+
+    monkeypatch.setattr(Graph, "delete_vertices", counted)
+    assert stability_witness(join(path(7), path(7)), WITHIN) == (7, 127)
+    assert 0 < len(calls) <= 50, len(calls)
