@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatch
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import networkx as nx
 
@@ -236,74 +236,147 @@ def _pendant_family_codes(n: int) -> frozenset[str]:
     return frozenset(_tree_code(t) for _, t in _pendant_family_members(n))
 
 
-# -- claim builders -------------------------------------------------------
+# -- instance sweeps ------------------------------------------------------
+#
+# One generator per family, in report order, holding the family's in-budget
+# range.  The parametrized families yield their parameters and then the graph,
+# which is built only when its entry is reached.
+
+_TREE_CAP = 12  # largest tree order enumerated; 551 trees at n = 12
 
 
-def _rows_t1_i(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
+def _wheels(budget: int, lo: int = 4) -> Iterator[tuple[int, Graph]]:
+    return ((n, wheel(n)) for n in range(lo, budget + 1))
+
+
+def _friendships(budget: int, lo: int = 2) -> Iterator[tuple[int, Graph]]:
+    return ((n, friendship(n)) for n in range(lo, (budget - 1) // 2 + 1))
+
+
+def _books(budget: int) -> Iterator[tuple[int, Graph]]:
+    return ((n, book(n)) for n in range(1, (budget - 2) // 2 + 1))
+
+
+def _stars(budget: int, lo: int = 3) -> Iterator[tuple[int, Graph]]:
+    return ((n, star(n)) for n in range(lo, budget))
+
+
+def _kmns(budget: int, lo: int = 2, hi: int | None = None) -> Iterator[tuple[int, int, Graph]]:
+    """K_{m,n} with lo <= m < hi, m <= n and m + n <= budget, by m and then n."""
+    return ((m, n, complete_bipartite(m, n)) for m in range(lo, hi or budget) for n in range(m, budget - m + 1))
+
+
+def _grids(budget: int) -> Iterator[tuple[int, int, Graph]]:
+    return ((n, m, cartesian(path(n), path(m))) for n in range(2, 5) for m in range(2, 5) if n * m <= budget)
+
+
+def _diamonds(budget: int) -> Iterator[Graph]:
+    """Rooted 4-cycle products H*C4 within the budget."""
+    return (rooted_product(h, cycle(4)) for h in (complete(1), complete(2), path(3), complete(3))
+            if 4 * h.n <= budget)
+
+
+def _pendant_trees(budget: int) -> Iterator[tuple[str, Graph]]:
+    for n in range(4, min(budget, _TREE_CAP) + 1, 2):
+        yield from _pendant_family_members(n)
+
+
+# -- swept claims ---------------------------------------------------------
+#
+# A swept claim compares one oracle with a closed form over a family sweep.
+# Its entries yield (instance, graph, prediction, note) in report order, and
+# its check turns one entry into its rows under one rule.
+
+_Entry = tuple[str, Graph, object, str]
+_Check = Callable[[str, str, WitnessRule, Conventions, Graph, object, str], list[ClaimRow]]
+
+
+def _swept(cid: str, description: str, check: _Check, entries: Callable[[int], Iterable[_Entry]]) -> Claim:
+    def builder(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
+        return [row for instance, g, predicted, note in entries(budget)
+                for row in check(cid, instance, rule, conv, g, predicted, note)]
+
+    return Claim(cid, description, builder)
+
+
+def _oracle_check(oracle: Callable[[Graph, WitnessRule, Conventions], int | None]) -> _Check:
+    def check(claim, instance, rule, conv, g, predicted, note):
+        return [_value_row(claim, instance, rule.value, predicted, lambda: oracle(g, rule, conv), note)]
+
+    return check
+
+
+_value_check = _oracle_check(_gt2)
+_difference_check = _oracle_check(_difference)
+
+
+def _stability_check(claim, instance, rule, conv, g, predicted, note):
+    return [_stab_value_row(claim, instance, rule, conv, g, predicted, note)]
+
+
+def _count_check(claim, instance, rule, conv, g, predicted, note):
+    return _count_compare_rows(claim, instance, rule, conv, g, predicted)
+
+
+_C3_NOTE = ("C3 = K3: the singleton convention (or, bare, the lack of distance-2 "
+            "pairs) keeps the formula value 2 unattainable")
+
+
+def _t1_i_entries(budget: int) -> Iterator[_Entry]:
     for n in range(3, budget + 1):
-        pred = _ceil(2 * n, 5)
-        for g in (path(n), cycle(n)):
-            note = ""
-            if g.name == "C3":
-                note = ("C3 = K3: the singleton convention (or, bare, the lack of distance-2 "
-                        "pairs) keeps the formula value 2 unattainable")
-            rows.append(_value_row("T1.i", g.name, rule.value, pred, lambda g=g: _gt2(g, rule, conv), note))
-    return rows
+        yield f"P{n}", path(n), _ceil(2 * n, 5), ""
+        yield f"C{n}", cycle(n), _ceil(2 * n, 5), _C3_NOTE if n == 3 else ""
 
 
-def _rows_t1_ii(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    if budget >= 4:
-        rows.append(
-            _value_row(
-                "T1.ii",
-                "W4",
-                rule.value,
-                1,
-                lambda: _gt2(wheel(4), rule, conv),
-                note="W4 = K4: the value rests on the complete-graph convention",
-            )
-        )
-    for n in range(5, budget + 1):
-        g = wheel(n)
-        rows.append(_value_row("T1.ii", g.name, rule.value, _ceil(n - 1, 3), lambda g=g: _gt2(g, rule, conv)))
-    return rows
-
-
-def _rows_t1_iii(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(2, (budget - 1) // 2 + 1):
-        g = friendship(n)
-        rows.append(_value_row("T1.iii", g.name, rule.value, n, lambda g=g: _gt2(g, rule, conv)))
-    return rows
-
-
-def _rows_t1_iv(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(1, (budget - 2) // 2 + 1):
-        g = book(n)
-        rows.append(_value_row("T1.iv", g.name, rule.value, n + 1, lambda g=g: _gt2(g, rule, conv)))
-    return rows
-
-
-def _kmn_pairs(budget: int) -> list[tuple[int, int]]:
-    return [(m, n) for m in range(2, budget) for n in range(m, budget) if m + n <= budget]
-
-
-def _rows_t1_v(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for m, n in _kmn_pairs(budget):
-        g = complete_bipartite(m, n)
-        note = ""
+def _t1_v_entries(budget: int) -> Iterator[_Entry]:
+    for m, n, g in _kmns(budget):
         if n <= 4:
-            pred = m
+            yield g.name, g, m, ""
         elif m >= 5:
-            pred = 4
+            yield g.name, g, 4, ""
         else:
-            pred, note = None, "parameters outside the stated cases (m <= 4 < n)"
-        rows.append(_value_row("T1.v", g.name, rule.value, pred, lambda g=g: _gt2(g, rule, conv), note))
-    return rows
+            yield g.name, g, None, "parameters outside the stated cases (m <= 4 < n)"
+
+
+def _stab_kmn_entries(budget: int) -> Iterator[_Entry]:
+    for m, n, g in _kmns(budget):
+        if m == 2:
+            yield g.name, g, 0, "stated value 0 has no meaning under the definition; row is anomalous"
+        else:
+            yield g.name, g, 1 if m <= 4 else m - 3, ""
+
+
+def _mod5_stability(n: int) -> int:
+    r = n % 5
+    if r in (1, 3):
+        return 1
+    if r in (2, 4):
+        return 2
+    return 3
+
+
+def _joinpaths_entries(budget: int) -> Iterator[_Entry]:
+    for n in range(5, budget + 1):
+        for m in range(n + 1 if n <= 10 else n, budget - n + 1):
+            yield f"(P{n})v(P{m})", join(path(n), path(m)), _mod5_stability(n) if n <= 10 else n - 7, ""
+
+
+def _fbs_entries(budget: int) -> Iterator[_Entry]:
+    for n, g in _friendships(budget):
+        yield g.name, g, 2, ""
+    for n, g in _books(budget):
+        yield f"B{n} (statement)", g, 1, "statement value"
+        yield f"B{n} (derivation)", g, 2, "value implied by the shrink-one-page derivation"
+    for n, g in _stars(budget, 2):
+        yield g.name, g, 1, ""
+
+
+def _grid_prediction(n: int, m: int) -> int:
+    a = _ceil(2 * n, 5)
+    return a * _ceil(m, 3) + (m // 3) * (n - a)
+
+
+# -- bespoke claim builders -----------------------------------------------
 
 
 def _path_difference_prediction(n: int):
@@ -364,57 +437,6 @@ def _rows_t22_ii(budget: int, rule: WitnessRule, conv: Conventions) -> list[Clai
     if isinstance(gamma, ClaimRow):
         return [gamma]
     return [_value_row("T2.2.ii", "Petersen", rule.value, gamma, lambda: _gt2(g, rule, conv))]
-
-
-def _rows_t22_iii(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(1, (budget - 2) // 2 + 1):
-        g = book(n)
-        rows.append(_value_row("T2.2.iii", g.name, rule.value, n - 1, lambda g=g: _difference(g, rule, conv)))
-    return rows
-
-
-def _rows_t22_iv(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(1, (budget - 1) // 2 + 1):
-        g = friendship(n)
-        note = "F1 = K3: rests on the complete-graph convention" if n == 1 else ""
-        rows.append(_value_row("T2.2.iv", g.name, rule.value, n - 1, lambda g=g: _difference(g, rule, conv), note))
-    return rows
-
-
-def _rows_t22_v(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(1, budget):
-        g = star(n)
-        note = "K_{1,1} = K2: rests on the complete-graph convention" if n == 1 else ""
-        rows.append(_value_row("T2.2.v", g.name, rule.value, n - 1, lambda g=g: _difference(g, rule, conv), note))
-    return rows
-
-
-def _rows_t22_vi(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    if budget >= 4:
-        rows.append(
-            _value_row("T2.2.vi", "W4", rule.value, 0, lambda: _difference(wheel(4), rule, conv),
-                       note="W4 = K4: rests on the complete-graph convention")
-        )
-    for n in range(5, budget + 1):
-        g = wheel(n)
-        rows.append(
-            _value_row("T2.2.vi", g.name, rule.value, _ceil(n - 1, 3) - 1,
-                       lambda g=g: _difference(g, rule, conv))
-        )
-    return rows
-
-
-def _rows_t22_vii(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for m, n in _kmn_pairs(budget):
-        g = complete_bipartite(m, n)
-        pred = m - 2 if m <= 4 else 2
-        rows.append(_value_row("T2.2.vii", g.name, rule.value, pred, lambda g=g: _difference(g, rule, conv)))
-    return rows
 
 
 def corona_bound_check(
@@ -510,23 +532,6 @@ def _rows_join_complete(budget: int, rule: WitnessRule, conv: Conventions) -> li
     return rows
 
 
-def _grid_prediction(n: int, m: int) -> int:
-    a = _ceil(2 * n, 5)
-    return a * _ceil(m, 3) + (m // 3) * (n - a)
-
-
-def _rows_grid(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(2, 5):
-        for m in range(2, 5):
-            if n * m > budget:
-                continue
-            g = cartesian(path(n), path(m))
-            rows.append(_value_row("T-grid", f"P{n} x P{m}", rule.value, _grid_prediction(n, m),
-                                   lambda g=g: _gt2(g, rule, conv)))
-    return rows
-
-
 def _count_compare_rows(
     claim: str,
     instance: str,
@@ -549,60 +554,14 @@ def _count_compare_rows(
     return rows if isinstance(rows, list) else [rows]
 
 
-def _rows_count_star(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(3, budget):
-        rows += _count_compare_rows("C-COUNT-star", f"K1,{n}", rule, conv, star(n), closed_form("star", n=n))
-    return rows
-
-
-def _rows_count_kmn_small(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for m in (2, 3):
-        for n in range(m, budget - m + 1):
-            if m + n > budget:
-                continue
-            rows += _count_compare_rows(
-                "C-COUNT-Kmn-small", f"K{m},{n}", rule, conv, complete_bipartite(m, n),
-                closed_form("complete_bipartite_small", m=m, n=n),
-            )
-    return rows
-
-
-def _rows_count_kmn_large(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for m in range(4, budget):
-        for n in range(m, budget - m + 1):
-            if m + n > budget:
-                continue
-            rows += _count_compare_rows(
-                "C-COUNT-Kmn-large", f"K{m},{n}", rule, conv, complete_bipartite(m, n),
-                closed_form("complete_bipartite_large", m=m, n=n),
-            )
-    return rows
-
-
-def _rows_count_friendship(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(2, (budget - 1) // 2 + 1):
-        rows += _count_compare_rows("C-COUNT-Fn", f"F{n}", rule, conv, friendship(n),
-                                    closed_form("friendship", n=n))
-    return rows
-
-
-def _connected_catalog(budget: int) -> list[Graph]:
-    out: list[Graph] = []
-    out += [path(n) for n in range(4, budget + 1)]
-    out += [cycle(n) for n in range(4, budget + 1)]
-    out += [star(n) for n in range(3, budget)]
-    out += [complete_bipartite(m, n) for m, n in _kmn_pairs(budget) if m + n >= 4]
-    out += [wheel(n) for n in range(4, budget + 1)]
-    out += [friendship(n) for n in range(2, (budget - 1) // 2 + 1)]
-    out += [book(n) for n in range(1, (budget - 2) // 2 + 1)]
-    out += [complete(n) for n in range(4, budget + 1)]
+def _connected_catalog(budget: int) -> Iterator[Graph]:
+    yield from map(path, range(4, budget + 1))
+    yield from map(cycle, range(4, budget + 1))
+    for sweep in (_stars(budget), _kmns(budget), _wheels(budget), _friendships(budget), _books(budget)):
+        yield from (entry[-1] for entry in sweep)
+    yield from map(complete, range(4, budget + 1))
     if budget >= 10:
-        out.append(petersen())
-    return out
+        yield petersen()
 
 
 def _half_bound_row(g: Graph, rule: WitnessRule, conv: Conventions) -> ClaimRow:
@@ -640,12 +599,10 @@ def _half_rows(budget: int, rule: WitnessRule) -> tuple[ClaimRow, ...]:
     conv = _BARE
     rows: list[ClaimRow] = []
 
-    tree_cap = min(budget, 12)
-    for n in range(4, tree_cap + 1, 2):
-        for label, t in _pendant_family_members(n):
-            rows.append(_value_row("T-half", f"forward {label}", rule.value, n // 2,
-                                   lambda t=t: _gt2(t, rule, conv)))
-    for n in range(4, tree_cap + 1):
+    for label, t in _pendant_trees(budget):
+        rows.append(_value_row("T-half", f"forward {label}", rule.value, t.n // 2,
+                               lambda t=t: _gt2(t, rule, conv)))
+    for n in range(4, min(budget, _TREE_CAP) + 1):
         for idx, t in enumerate(_all_trees(n)):
             instance, predicted = f"reverse tree{n}#{idx}", "pendant-path family or K1,3"
             value = _guarded("T-half", instance, rule.value, predicted, lambda t=t: _gt2(t, rule, conv))
@@ -678,11 +635,8 @@ def _half_rows(budget: int, rule: WitnessRule) -> tuple[ClaimRow, ...]:
             rows.append(_value_row("T-halfgraph", f"K4 spanning subgraph m={g.edge_count()}",
                                    rule.value, 2, lambda g=g: _gt2(g, rule, conv),
                                    note="convention gate disabled" if g.is_complete() else ""))
-    for h in (complete(1), complete(2), path(3), complete(3)):
-        big = rooted_product(h, cycle(4))
-        if big.n > budget:
-            continue
-        rows.append(_value_row("T-halfgraph", f"({h.name})*(C4)", rule.value, big.n // 2,
+    for big in _diamonds(budget):
+        rows.append(_value_row("T-halfgraph", big.name, rule.value, big.n // 2,
                                lambda big=big: _gt2(big, rule, conv)))
     for n in range(4, budget + 1, 2):
         if n in (4, 6, 8):
@@ -740,21 +694,11 @@ def _poly_equality_row(
 
 
 def _rows_poly_trees(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(4, min(budget, 12) + 1, 2):
-        for label, t in _pendant_family_members(n):
-            rows.append(_poly_equality_row("T-poly-T", label, rule, conv, t))
-    return rows
+    return [_poly_equality_row("T-poly-T", label, rule, conv, t) for label, t in _pendant_trees(budget)]
 
 
 def _rows_poly_diamond(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for h in (complete(1), complete(2), path(3), complete(3)):
-        big = rooted_product(h, cycle(4))
-        if big.n > budget:
-            continue
-        rows.append(_poly_equality_row("T-poly-diamond", f"({h.name})*(C4)", rule, conv, big))
-    return rows
+    return [_poly_equality_row("T-poly-diamond", big.name, rule, conv, big) for big in _diamonds(budget)]
 
 
 _SPLIT_PARAMS = (
@@ -822,120 +766,53 @@ def _stab_value_row(
     return _guarded(claim, instance, rule.value, _show(predicted), build, note)
 
 
-def _rows_stab_kmn(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for m, n in _kmn_pairs(budget):
-        g = complete_bipartite(m, n)
-        if m == 2:
-            pred, note = 0, "stated value 0 has no meaning under the definition; row is anomalous"
-        elif m <= 4:
-            pred, note = 1, ""
-        else:
-            pred, note = m - 3, ""
-        rows.append(_stab_value_row("T4-stab-Kmn", g.name, rule, conv, g, pred, note))
-    return rows
-
-
-def _mod5_stability(n: int) -> int:
-    r = n % 5
-    if r in (1, 3):
-        return 1
-    if r in (2, 4):
-        return 2
-    return 3
-
-
-def _rows_stab_path(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    return [
-        _stab_value_row("T4-stab-path", f"P{n}", rule, conv, path(n), _mod5_stability(n))
-        for n in range(4, budget + 1)
-    ]
-
-
-def _rows_stab_cycle(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    return [
-        _stab_value_row("T4-stab-cycle", f"C{n}", rule, conv, cycle(n), _mod5_stability(n))
-        for n in range(4, budget + 1)
-    ]
-
-
-def _rows_stab_wheel(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(5, budget + 1):
-        r = n % 3
-        pred = 1 if r == 2 else (2 if r == 0 else 3)
-        rows.append(_stab_value_row("T4-stab-wheel", f"W{n}", rule, conv, wheel(n), pred))
-    return rows
-
-
-def _rows_stab_joinpaths(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(5, 11):
-        for m in range(n + 1, budget - n + 1):
-            g = join(path(n), path(m))
-            rows.append(_stab_value_row("T4-stab-joinpaths", f"(P{n})v(P{m})", rule, conv, g,
-                                        _mod5_stability(n)))
-    for n in range(11, budget + 1):
-        for m in range(n, budget - n + 1):
-            g = join(path(n), path(m))
-            rows.append(_stab_value_row("T4-stab-joinpaths", f"(P{n})v(P{m})", rule, conv, g, n - 7))
-    return rows
-
-
-def _rows_stab_grid(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(2, 5):
-        for m in range(2, 5):
-            if n * m > budget:
-                continue
-            g = cartesian(path(n), path(m))
-            rows.append(_stab_value_row("T4-stab-grid", f"P{n} x P{m}", rule, conv, g, _ceil(2 * n, 5)))
-    return rows
-
-
-def _rows_stab_fbs(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for n in range(2, (budget - 1) // 2 + 1):
-        rows.append(_stab_value_row("T4-stab-FBS", f"F{n}", rule, conv, friendship(n), 2))
-    for n in range(1, (budget - 2) // 2 + 1):
-        g = book(n)
-        rows.append(_stab_value_row("T4-stab-FBS", f"B{n} (statement)", rule, conv, g, 1,
-                                    note="statement value"))
-        rows.append(_stab_value_row("T4-stab-FBS", f"B{n} (derivation)", rule, conv, g, 2,
-                                    note="value implied by the shrink-one-page derivation"))
-    for n in range(2, budget):
-        rows.append(_stab_value_row("T4-stab-FBS", f"K1,{n}", rule, conv, star(n), 1))
-    return rows
-
-
 # -- registry and runner --------------------------------------------------
 
 
 REGISTRY: dict[str, Claim] = {
     c.id: c
     for c in (
-        Claim("T1.i", "paths and cycles: semitotal number equals ceil(2n/5)", _rows_t1_i),
-        Claim("T1.ii", "wheel of order n: semitotal number equals ceil((n-1)/3)", _rows_t1_ii),
-        Claim("T1.iii", "friendship graph with n triangles: semitotal number equals n", _rows_t1_iii),
-        Claim("T1.iv", "book graph with n pages: semitotal number equals n+1", _rows_t1_iv),
-        Claim("T1.v", "complete bipartite: min(m,n) for 2<=m,n<=4; 4 for m,n>=5", _rows_t1_v),
+        _swept("T1.i", "paths and cycles: semitotal number equals ceil(2n/5)", _value_check, _t1_i_entries),
+        _swept("T1.ii", "wheel of order n: semitotal number equals ceil((n-1)/3)", _value_check,
+               lambda b: ((g.name, g, _ceil(n - 1, 3),
+                           "W4 = K4: the value rests on the complete-graph convention" if n == 4 else "")
+                          for n, g in _wheels(b))),
+        _swept("T1.iii", "friendship graph with n triangles: semitotal number equals n", _value_check,
+               lambda b: ((g.name, g, n, "") for n, g in _friendships(b))),
+        _swept("T1.iv", "book graph with n pages: semitotal number equals n+1", _value_check,
+               lambda b: ((g.name, g, n + 1, "") for n, g in _books(b))),
+        _swept("T1.v", "complete bipartite: min(m,n) for 2<=m,n<=4; 4 for m,n>=5", _value_check, _t1_v_entries),
         Claim("T2.2.i", "paths: semitotal minus plain follows a piecewise range table", _rows_t22_i),
         Claim("T2.2.ii", "Petersen graph: semitotal number equals domination number", _rows_t22_ii),
-        Claim("T2.2.iii", "books: semitotal number exceeds domination number by n-1", _rows_t22_iii),
-        Claim("T2.2.iv", "friendship graphs: semitotal minus domination equals n-1", _rows_t22_iv),
-        Claim("T2.2.v", "stars: semitotal minus domination equals n-1", _rows_t22_v),
-        Claim("T2.2.vi", "wheels: semitotal minus domination equals ceil((n-1)/3)-1", _rows_t22_vi),
-        Claim("T2.2.vii", "complete bipartite: difference is m-2 for m<=4, else 2", _rows_t22_vii),
+        _swept("T2.2.iii", "books: semitotal number exceeds domination number by n-1", _difference_check,
+               lambda b: ((g.name, g, n - 1, "") for n, g in _books(b))),
+        _swept("T2.2.iv", "friendship graphs: semitotal minus domination equals n-1", _difference_check,
+               lambda b: ((g.name, g, n - 1, "F1 = K3: rests on the complete-graph convention" if n == 1 else "")
+                          for n, g in _friendships(b, 1))),
+        _swept("T2.2.v", "stars: semitotal minus domination equals n-1", _difference_check,
+               lambda b: ((g.name, g, n - 1, "K_{1,1} = K2: rests on the complete-graph convention" if n == 1 else "")
+                          for n, g in _stars(b, 1))),
+        _swept("T2.2.vi", "wheels: semitotal minus domination equals ceil((n-1)/3)-1", _difference_check,
+               lambda b: ((g.name, g, _ceil(n - 1, 3) - 1,
+                           "W4 = K4: rests on the complete-graph convention" if n == 4 else "")
+                          for n, g in _wheels(b))),
+        _swept("T2.2.vii", "complete bipartite: difference is m-2 for m<=4, else 2", _difference_check,
+               lambda b: ((g.name, g, m - 2 if m <= 4 else 2, "") for m, n, g in _kmns(b))),
         Claim("T-corona", "corona: value at most gt2(G)+gt2(H)(|G|-gt2(G)), sharp for complete H", _rows_corona),
         Claim("T-join", "join of non-complete graphs of order >=3: min of factor values and 4", _rows_join),
         Claim("T-joinK", "complete graph joined to non-complete H: value equals H's value", _rows_join_complete),
-        Claim("T-grid", "path grid: ceil(2n/5)*ceil(m/3) + floor(m/3)*(n-ceil(2n/5))", _rows_grid),
-        Claim("C-COUNT-star", "stars: the n leaves form the only semitotal dominating set", _rows_count_star),
-        Claim("C-COUNT-Kmn-small", "complete bipartite counts via binomials, small part 2..3",
-              _rows_count_kmn_small),
-        Claim("C-COUNT-Kmn-large", "complete bipartite counts via binomials, small part >=4",
-              _rows_count_kmn_large),
-        Claim("C-COUNT-Fn", "friendship counts: 2^n * C(n, i-n) sets of size i", _rows_count_friendship),
+        _swept("T-grid", "path grid: ceil(2n/5)*ceil(m/3) + floor(m/3)*(n-ceil(2n/5))", _value_check,
+               lambda b: ((f"P{n} x P{m}", g, _grid_prediction(n, m), "") for n, m, g in _grids(b))),
+        _swept("C-COUNT-star", "stars: the n leaves form the only semitotal dominating set", _count_check,
+               lambda b: ((g.name, g, closed_form("star", n=n), "") for n, g in _stars(b))),
+        _swept("C-COUNT-Kmn-small", "complete bipartite counts via binomials, small part 2..3", _count_check,
+               lambda b: ((g.name, g, closed_form("complete_bipartite_small", m=m, n=n), "")
+                          for m, n, g in _kmns(b, hi=4))),
+        _swept("C-COUNT-Kmn-large", "complete bipartite counts via binomials, small part >=4", _count_check,
+               lambda b: ((g.name, g, closed_form("complete_bipartite_large", m=m, n=n), "")
+                          for m, n, g in _kmns(b, lo=4))),
+        _swept("C-COUNT-Fn", "friendship counts: 2^n * C(n, i-n) sets of size i", _count_check,
+               lambda b: ((g.name, g, closed_form("friendship", n=n), "") for n, g in _friendships(b))),
         Claim("L-half", "connected graphs on n>=4 vertices: semitotal number at most n/2", _rows_half_bound),
         Claim("T-half", "trees attaining half order: pendant-path family or the 3-leaf star", _rows_t_half),
         Claim("T-halfgraph", "min-degree-2 graphs attaining half order: C6, C8, K4 spanning subgraphs, "
@@ -945,15 +822,20 @@ REGISTRY: dict[str, Claim] = {
               _rows_poly_diamond),
         Claim("T-split", "connected split graphs without a dominating vertex: plain, total and semitotal "
               "counts coincide", _rows_split),
-        Claim("T4-stab-Kmn", "complete bipartite stability: 0 / 1 / m-3 by small-part size", _rows_stab_kmn),
-        Claim("T4-stab-path", "path stability by n mod 5: 1, 2 or 3", _rows_stab_path),
-        Claim("T4-stab-cycle", "cycle stability by n mod 5: 1, 2 or 3", _rows_stab_cycle),
-        Claim("T4-stab-wheel", "wheel stability by n mod 3: 1, 2 or 3", _rows_stab_wheel),
-        Claim("T4-stab-joinpaths", "join of two paths: path stability table, n-7 beyond n=10",
-              _rows_stab_joinpaths),
-        Claim("T4-stab-grid", "path grid stability equals ceil(2n/5)", _rows_stab_grid),
-        Claim("T4-stab-FBS", "stability of friendship (2), book (1; derivation gives 2) and star (1)",
-              _rows_stab_fbs),
+        _swept("T4-stab-Kmn", "complete bipartite stability: 0 / 1 / m-3 by small-part size", _stability_check,
+               _stab_kmn_entries),
+        _swept("T4-stab-path", "path stability by n mod 5: 1, 2 or 3", _stability_check,
+               lambda b: ((f"P{n}", path(n), _mod5_stability(n), "") for n in range(4, b + 1))),
+        _swept("T4-stab-cycle", "cycle stability by n mod 5: 1, 2 or 3", _stability_check,
+               lambda b: ((f"C{n}", cycle(n), _mod5_stability(n), "") for n in range(4, b + 1))),
+        _swept("T4-stab-wheel", "wheel stability by n mod 3: 1, 2 or 3", _stability_check,
+               lambda b: ((g.name, g, (2, 3, 1)[n % 3], "") for n, g in _wheels(b, 5))),
+        _swept("T4-stab-joinpaths", "join of two paths: path stability table, n-7 beyond n=10", _stability_check,
+               _joinpaths_entries),
+        _swept("T4-stab-grid", "path grid stability equals ceil(2n/5)", _stability_check,
+               lambda b: ((f"P{n} x P{m}", g, _ceil(2 * n, 5), "") for n, m, g in _grids(b))),
+        _swept("T4-stab-FBS", "stability of friendship (2), book (1; derivation gives 2) and star (1)",
+               _stability_check, _fbs_entries),
     )
 }
 

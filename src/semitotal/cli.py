@@ -213,27 +213,19 @@ def cli(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "num":
+    if args.command in ("num", "count", "poly"):
         g = _load_graph(args)
         variant = _variant_of(args)
-        value = domination_number(g, variant, _conv_of(args))
-        _emit({
-            "graph": _graph_payload(g),
-            "variant": args.variant,
-            "rule": args.rule if args.variant == "semitotal" else None,
-            "value": value,
-        })
-        return 0 if value is not None else 2
-
-    if args.command in ("count", "poly"):
-        g = _load_graph(args)
-        variant = _variant_of(args)
-        counts = count_by_size(g, variant, _conv_of(args), budget=args.budget)
         payload = {
             "graph": _graph_payload(g),
             "variant": args.variant,
             "rule": args.rule if args.variant == "semitotal" else None,
         }
+        if args.command == "num":
+            value = domination_number(g, variant, _conv_of(args))
+            _emit({**payload, "value": value})
+            return 0 if value is not None else 2
+        counts = count_by_size(g, variant, _conv_of(args), budget=args.budget)
         if args.command == "count":
             payload["coeffs"] = list(counts.coeffs)
         else:
@@ -276,8 +268,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
-        conv = Conventions(complete_singleton=args.kn_convention == "on")
-        report = run_claims(args.claims, args.budget, conv)
+        report = run_claims(args.claims, args.budget, _conv_of(args))
         if args.out == "json":
             print(report.to_json())
         elif args.out == "csv":

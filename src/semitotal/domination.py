@@ -42,11 +42,6 @@ class Variant:
         if self.kind != "semitotal" and self.rule is not None:
             raise ValueError(f"{self.kind} variant takes no witness rule")
 
-    def label(self) -> str:
-        if self.kind == "semitotal":
-            return f"semitotal[{self.rule.value}]"
-        return self.kind
-
 
 PLAIN = Variant("plain")
 TOTAL = Variant("total")
@@ -83,16 +78,23 @@ def _require_isolate_free(g: Graph) -> None:
         raise IsolatesError("operation requires an isolate-free graph")
 
 
+def _require_members(g: Graph, members: int) -> None:
+    if members & ~g.full_mask:
+        raise ValueError("member set contains vertices outside the graph")
+
+
 def is_dominating(g: Graph, members: int) -> bool:
     """True iff the closed neighborhoods of the members cover every vertex."""
     if g.n == 0:
         raise EmptyGraphError("domination is undefined on the empty graph")
+    _require_members(g, members)
     return _is_valid(g, PLAIN, members)
 
 
 def is_total_dominating(g: Graph, members: int) -> bool:
     """True iff every vertex (members included) has a neighbor in the set."""
     _require_isolate_free(g)
+    _require_members(g, members)
     return _is_valid(g, TOTAL, members)
 
 
@@ -103,6 +105,7 @@ def is_semitotal(g: Graph, members: int, rule: WitnessRule) -> bool:
     convention is applied only by the number/count operations, never here.
     """
     _require_isolate_free(g)
+    _require_members(g, members)
     return _is_valid(g, semitotal(rule), members)
 
 

@@ -59,9 +59,6 @@ class CountPolynomial:
             acc = acc * x + c
         return acc
 
-    def total(self) -> int:
-        return self.evaluate(1)
-
     def format(self) -> str:
         """Canonical ascending-power text, e.g. ``2x + x^2``; zero is ``0``."""
         terms = []

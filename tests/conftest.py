@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
@@ -23,3 +24,11 @@ def rng():
 def relabeled(g: Graph, perm: list[int]) -> Graph:
     """Copy of g with vertex v renamed to perm[v]."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def to_nx(g: Graph) -> nx.Graph:
+    """The same graph as a networkx graph, for the independent oracles."""
+    t = nx.Graph()
+    t.add_nodes_from(range(g.n))
+    t.add_edges_from(g.edges())
+    return t

@@ -29,6 +29,8 @@ from semitotal import claims
 from semitotal.claims import _tree_code
 from semitotal.cli import cli
 
+from conftest import to_nx
+
 # every identity the harness must know about, frozen; a missing id fails the build
 CLAIM_MANIFEST = [
     "T1.i", "T1.ii", "T1.iii", "T1.iv", "T1.v",
@@ -280,6 +282,17 @@ def test_verify_b12_output_is_byte_stable(capsys):
         "42cdf65636ae7c80a6977d6da8e535c857ec245bf50f4007232131c081ae86e9")
 
 
+@pytest.mark.parametrize("flags, digest", [
+    (["--out", "csv", "--kn-convention", "off"],
+     "f88a26d640bf34409161a32157626fd5600ec0474c84e01b868dcd009a231a34"),
+    (["--out", "table"], "ec50cc7d3510dcfa8886399b96bffb1d5010484b5a2826233d03a99f59cb7c66"),
+], ids=["csv-convention-off", "table"])
+def test_verify_b12_writers_are_byte_stable(capsys, flags, digest):
+    # The same pin for the conventions-off path and the CSV and table writers.
+    assert cli(["verify", "--claims", "*", "--budget", "12", *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def _trees_up_to(n_max):
     """Every tree on 1..n_max vertices, and a seeded relabelled copy of each."""
     rng = random.Random(20240811)
@@ -298,11 +311,7 @@ def test_tree_code_decides_isomorphism():
     trees = _trees_up_to(9)
     assert len(trees) == 2 * 95
     codes = [_tree_code(t) for t in trees]
-    as_nx = []
-    for t in trees:
-        as_nx.append(nx.Graph())
-        as_nx[-1].add_nodes_from(range(t.n))
-        as_nx[-1].add_edges_from(t.edges())
+    as_nx = [to_nx(t) for t in trees]
     for i in range(len(trees)):
         for j in range(i, len(trees)):
             same = trees[i].n == trees[j].n and nx.is_isomorphic(as_nx[i], as_nx[j])

@@ -40,7 +40,7 @@ from semitotal import (
 )
 from semitotal.domination import _MAX_TABLE_BYTES, _gate_applies, _is_valid, _minimum_set, _table_bytes, _valid_sets
 
-from conftest import graphs, relabeled
+from conftest import graphs, relabeled, to_nx
 from corpus import family_corpus, full_corpus
 
 ALL_VARIANTS = (PLAIN, TOTAL, SEMITOTAL_WITHIN, SEMITOTAL_EXACT)
@@ -93,6 +93,17 @@ def test_is_semitotal_examples():
 def test_singletons_never_semitotal_via_predicate():
     for rule in WitnessRule:
         assert not is_semitotal(complete(3), mask_from([0]), rule)
+
+
+@pytest.mark.parametrize("predicate", [
+    is_dominating,
+    is_total_dominating,
+    lambda g, members: is_semitotal(g, members, WitnessRule.WITHIN_TWO),
+], ids=["dominating", "total", "semitotal"])
+@pytest.mark.parametrize("members", [0b1000, 0b1001, -1])
+def test_predicates_reject_members_outside_the_graph(predicate, members):
+    with pytest.raises(ValueError, match="outside the graph"):
+        predicate(path(3), members)
 
 
 # -- numbers --------------------------------------------------------------
@@ -298,9 +309,7 @@ def test_semitotal_predicate_against_networkx_distances(g):
 
     if not g.is_isolate_free():
         return
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
+    nxg = to_nx(g)
     lengths = dict(nx.all_pairs_shortest_path_length(nxg))
 
     def reference(members, rule):

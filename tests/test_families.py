@@ -25,14 +25,8 @@ from semitotal import (
     wheel,
 )
 
+from conftest import to_nx
 from corpus import family_corpus
-
-
-def to_nx(g: Graph) -> nx.Graph:
-    t = nx.Graph()
-    t.add_nodes_from(range(g.n))
-    t.add_edges_from(g.edges())
-    return t
 
 
 def iso(g: Graph, h: Graph) -> bool:

@@ -22,12 +22,7 @@ from semitotal import (
     wheel,
 )
 
-
-def to_nx(g: Graph) -> nx.Graph:
-    t = nx.Graph()
-    t.add_nodes_from(range(g.n))
-    t.add_edges_from(g.edges())
-    return t
+from conftest import to_nx
 
 
 def iso(g: Graph, h: Graph) -> bool:
