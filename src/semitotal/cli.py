@@ -269,6 +269,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "verify":
         report = run_claims(args.claims, args.budget, _conv_of(args))
+        if not report.claim_order:
+            raise _UsageError(f"no claim id matches {args.claims!r}")
         if args.out == "json":
             print(report.to_json())
         elif args.out == "csv":

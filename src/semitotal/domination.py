@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceededError, EmptyGraphError, IsolatesError
 from .graph import Graph, iter_bits, mask_from
@@ -223,76 +223,76 @@ def _packing(reqs: list[int]) -> int:
     return size
 
 
+def _counting_bound(g: Graph, variant: Variant) -> Callable[[int], int]:
+    """Members still needed to cover ``uncovered`` vertices, as a function.
+
+    With g the largest cover mask of an allowed vertex, each new member
+    covers at most g new vertices: ceil(U / g).  Under semitotal a member
+    and its witness are within distance 2, so their closed neighbourhoods
+    share a vertex.  Root a spanning forest of the witness relation on the
+    new members: each non-root member, and each root witnessed by an earlier
+    member, covers at most g - 1 new vertices, and every other root heads a
+    component of at least two, so U <= t (2g - 1) / 2 for t new members.
+    On P_n and C_n this gives ceil(2n / 5), the semitotal number.
+    """
+    cover = _cover_masks(g, variant)
+    reach = max(cover[v].bit_count() for v in _feasible_members(g, variant))
+    if variant.kind == "semitotal":
+        return lambda uncovered: -(-2 * uncovered // (2 * reach - 1))
+    return lambda uncovered: -(-uncovered // reach)
+
+
 def _minimum_set(g: Graph, variant: Variant) -> int | None:
     """An optimal valid set as a mask, by iterative-deepening branch and bound.
 
     A search node lists its open requirements: each uncovered vertex, whose
-    candidates are the allowed vertices covering it, and, for semitotal, each
-    member without a witness, whose candidates are the vertices able to
-    witness it.  Both relations are symmetric, so these are exactly the
-    vertices a valid extension can add to meet the requirement.  A
-    requirement without candidates prunes the node; otherwise the search
-    branches on the requirement with the fewest candidates and bans each
-    candidate once its branch fails.  Requirements with pairwise disjoint
-    candidate sets each need their own new member, so a greedy packing of
-    them bounds the members still needed: it prunes nodes and sets the first
-    deepening level.  Deterministic by construction.  Returns None when no
-    valid set exists.  Applies no convention and assumes ``_validate`` passed.
+    candidates are the free (allowed, unchosen, unbanned) vertices covering
+    it, and, for semitotal, each member without a witness, whose candidates
+    are the free vertices able to witness it.  The search branches on the
+    requirement with the fewest candidates and bans each candidate once its
+    branch fails.  Both relations are symmetric, so a child's list is its
+    parent's less the requirements the new member w meets, masked with the
+    child's free set, plus w's witness requirement when no earlier member
+    witnesses it; an empty mask prunes the child.  Requirements with pairwise
+    disjoint candidate sets each need their own new member, so a greedy
+    packing of them bounds the members still needed, as does
+    ``_counting_bound``; both prune nodes and set the first deepening level.
+    Deterministic.  Returns None when no valid set exists.  Applies no
+    convention and assumes ``_validate`` passed.
     """
     cover = _cover_masks(g, variant)
     witness = _witness_masks(g, variant.rule) if variant.kind == "semitotal" else None
-    full = g.full_mask
+    n = g.n
     allowed = mask_from(_feasible_members(g, variant))
 
-    def requirements(chosen: int, covered: int, banned: int) -> list[int] | None:
-        """Candidate masks of the open requirements, fewest candidates first;
-        None when some requirement has no candidate left."""
-        free = allowed & ~banned
-        out = []
-        rest = full & ~covered
-        while rest:
-            low = rest & -rest
-            cands = cover[low.bit_length() - 1] & free
-            if not cands:
-                return None
-            out.append(cands)
-            rest ^= low
-        if witness is not None:
-            free &= ~chosen
-            for v in iter_bits(chosen):
-                if not chosen & witness[v]:
-                    cands = witness[v] & free
-                    if not cands:
-                        return None
-                    out.append(cands)
-        out.sort(key=int.bit_count)
-        return out
-
-    def search(chosen: int, covered: int, banned: int, budget: int) -> int | None:
-        reqs = requirements(chosen, covered, banned)
-        if reqs is None:
-            return None
+    def search(chosen: int, covered: int, free: int, reqs: list[int], budget: int) -> int | None:
         if not reqs:
             return chosen
-        if _packing(reqs) > budget:
+        if need(n - covered.bit_count()) > budget or _packing(reqs) > budget:
             return None
-        ban = banned
         for w in iter_bits(reqs[0]):
-            found = search(chosen | 1 << w, covered | cover[w], ban, budget - 1)
-            if found is not None:
-                return found
-            ban |= 1 << w
+            bit = 1 << w
+            free &= ~bit  # w is chosen in this branch and banned in the later ones
+            child = [cands & free for cands in reqs if not cands & bit]
+            if witness is not None and not chosen & witness[w]:
+                child.append(witness[w] & free)
+            if all(child):
+                child.sort(key=int.bit_count)
+                found = search(chosen | bit, covered | cover[w], free, child, budget - 1)
+                if found is not None:
+                    return found
         return None
 
     # Without candidates at the root some vertex cannot be covered at all.
     # Otherwise the whole allowed set is valid (each allowed vertex has a
     # witness, which is itself allowed), so the deepening below terminates.
     # A semitotal set has at least two members: a singleton has no witness.
-    reqs = requirements(0, 0, 0)
-    if reqs is None:
+    reqs = sorted((cover[v] & allowed for v in range(n)), key=int.bit_count)
+    if not reqs[0]:
         return None
-    k = max(_packing(reqs), 1 if witness is None else 2)
-    while (found := search(0, 0, 0, k)) is None:
+    need = _counting_bound(g, variant)
+    k = max(_packing(reqs), need(n), 1 if witness is None else 2)
+    while (found := search(0, 0, allowed, reqs, k)) is None:
         k += 1
     return found
 

@@ -139,6 +139,13 @@ def test_verify_csv_output(capsys):
     assert out.splitlines()[0] == "claim,instance,rule,predicted,oracle,verdict,note"
 
 
+def test_verify_pattern_matching_no_claim_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--claims", "nope")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "'nope'" in err.splitlines()[0]
+
+
 def test_cli_is_deterministic(capsys):
     runs = []
     for _ in range(2):

@@ -1,6 +1,9 @@
+import json
 import random
 import time
 import tracemalloc
+from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +41,15 @@ from semitotal import (
     semitotal,
     star,
 )
-from semitotal.domination import _MAX_TABLE_BYTES, _gate_applies, _is_valid, _minimum_set, _table_bytes, _valid_sets
+from semitotal.domination import (
+    _MAX_TABLE_BYTES,
+    _counting_bound,
+    _gate_applies,
+    _is_valid,
+    _minimum_set,
+    _table_bytes,
+    _valid_sets,
+)
 
 from conftest import graphs, relabeled, to_nx
 from corpus import family_corpus, full_corpus
@@ -240,11 +251,61 @@ def test_solver_is_label_invariant_on_paper_families():
 
 
 def test_paths_and_cycles_beyond_oracle_range():
-    for n in range(16, 41):
+    # up to the 64-vertex word limit, P45 and P50 included
+    for n in range(16, 65):
         expected = -(-2 * n // 5)
         for rule in WitnessRule:
             assert domination_number(path(n), semitotal(rule)) == expected, (n, rule)
             assert domination_number(cycle(n), semitotal(rule)) == expected, (n, rule)
+
+
+def test_solve_workload_values_match_committed_values():
+    # The benchmark's solve gate on its natural instances, run here so that
+    # tier-1 sees it too.
+    expected = json.loads((Path(__file__).parents[1] / "perfbench/expected/solve.json").read_text())
+    instances = {
+        "P16": path(16), "C16": cycle(16), "P4xP4": cartesian(path(4), path(4)),
+        "P35": path(35), "P40": path(40), "C35": cycle(35), "C40": cycle(40),
+        "P6xP6": cartesian(path(6), path(6)), "P7xP7": cartesian(path(7), path(7)),
+    }
+    names = {"plain": PLAIN, "total": TOTAL, "within2": SEMITOTAL_WITHIN, "exact2": SEMITOTAL_EXACT}
+    for label, g in instances.items():
+        for name, variant in names.items():
+            assert domination_number(g, variant) == expected[label][name], (label, name)
+
+
+# -- the counting bound ---------------------------------------------------
+
+
+@given(graphs(min_n=1, max_n=10))
+@settings(max_examples=150, deadline=None)
+def test_counting_bound_never_exceeds_the_oracle(g):
+    for variant in ALL_VARIANTS:
+        try:
+            expected = brute_force_number(g, variant, OFF)
+        except IsolatesError:
+            continue
+        if expected is not None:
+            assert _counting_bound(g, variant)(g.n) <= expected, (g.edges(), variant)
+
+
+def test_counting_bound_is_tight_on_paths_and_cycles():
+    # ceil(2n/5) from n = 4 on; below that P2 (largest closed neighbourhood
+    # 2) gives 2 and C3 has no exact2 witness at all.
+    for n in range(4, 65):
+        for rule in WitnessRule:
+            for g in (path(n), cycle(n)):
+                assert _counting_bound(g, semitotal(rule))(n) == -(-2 * n // 5), (g.name, rule)
+
+
+def test_minimum_set_on_near_tight_graphs():
+    grids = [cartesian(path(a), path(b)) for a in range(2, 5) for b in range(a, 9) if a * b <= 16]
+    hypercube = reduce(cartesian, [path(2)] * 4)
+    for g in grids + [cartesian(cycle(3), cycle(4)), hypercube, petersen()]:
+        for variant in ALL_VARIANTS:
+            best = _minimum_set(g, variant)
+            assert best is not None and _is_valid(g, variant, best), (g.name, variant)
+            assert best.bit_count() == brute_force_number(g, variant, OFF), (g.name, variant)
 
 
 def test_solver_matches_reference_enumeration_small():
