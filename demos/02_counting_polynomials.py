@@ -1,6 +1,8 @@
-"""Counting polynomials: exhaustive enumeration versus the closed forms.
+"""Counting polynomials: exact counts versus the closed forms.
 
-count_by_size enumerates all 2^n subsets and is the oracle of the package.
+count_by_size counts the valid sets of every size exactly, by a dynamic
+program over the vertices that checks every requirement and consults no
+closed form, and is the oracle of the package.
 The closed forms are predictions to test against it; the friendship formula
 is a nice example of one that overcounts as soon as supersets of an optimal
 set stop being valid.
@@ -22,26 +24,26 @@ from semitotal import (
 def main() -> None:
     print("star K_{1,5}, exact rule:")
     counts = count_by_size(star(5), SEMITOTAL_EXACT)
-    print(f"  enumerated:  {counts}")
+    print(f"  counted:     {counts}")
     print(f"  closed form: {closed_form('star', n=5)}")
     print("  the hub can never be in a set, so the 5 leaves are the only choice")
     print()
 
     print("friendship F_2 (two triangles sharing a vertex), exact rule:")
-    enumerated = count_by_size(friendship(2), SEMITOTAL_EXACT)
+    counted = count_by_size(friendship(2), SEMITOTAL_EXACT)
     predicted = closed_form("friendship", n=2)
-    print(f"  enumerated:  {enumerated}")
+    print(f"  counted:     {counted}")
     print(f"  closed form: {predicted}")
-    fd = predicted.first_difference(enumerated)
-    print(f"  first disagreement at size {fd}: predicted {predicted[fd]}, enumerated {enumerated[fd]}")
+    fd = predicted.first_difference(counted)
+    print(f"  first disagreement at size {fd}: predicted {predicted[fd]}, counted {counted[fd]}")
     print()
 
     print("complete bipartite K_{2,3}, exact rule (formula and oracle agree):")
-    enumerated = count_by_size(complete_bipartite(2, 3), SEMITOTAL_EXACT)
+    counted = count_by_size(complete_bipartite(2, 3), SEMITOTAL_EXACT)
     predicted = closed_form("complete_bipartite_small", m=2, n=3)
-    print(f"  enumerated:  {enumerated}")
+    print(f"  counted:     {counted}")
     print(f"  closed form: {predicted}")
-    print(f"  equal: {enumerated == predicted}")
+    print(f"  equal: {counted == predicted}")
     print()
 
     print("C_4 under the three variants (plain / within 2 / exactly 2):")

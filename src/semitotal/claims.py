@@ -1,9 +1,9 @@
 """Machine-checked registry of closed-form identities about semitotal domination.
 
-Each claim pairs a closed-form prediction with an exhaustive-search oracle
-over a deterministic desk-scale instance set.  The oracle is authoritative:
-a FAIL row records that the stated formula disagrees with enumeration on
-that instance, which is a finding, not an error.  Claims are evaluated
+Each claim pairs a closed-form prediction with an exact oracle (search or
+counting) over a deterministic desk-scale instance set.  The oracle is
+authoritative: a FAIL row records that the stated formula disagrees with it
+on that instance, which is a finding, not an error.  Claims are evaluated
 under both witness rules, and the per-claim summary names the rule when a
 claim holds under exactly one of them.
 """
@@ -588,17 +588,18 @@ def _negative_cycle_row(n: int, rule: WitnessRule, conv: Conventions) -> ClaimRo
 
 
 @lru_cache(maxsize=None)
-def _half_rows(budget: int, rule: WitnessRule) -> tuple[ClaimRow, ...]:
-    """Rows for the half-order characterizations (bare conventions).
+def _half_rows(budget: int, rule: WitnessRule, claim: str) -> tuple[ClaimRow, ...]:
+    """Rows of the half-order characterization ``claim``, T-half or
+    T-halfgraph (bare conventions); each claim computes only its own rows."""
+    return tuple(_HALF_ROW_BUILDERS[claim](budget, rule))
 
-    Forward: every pendant-path tree and every rooted 4-cycle product attains
-    half order.  Reverse (trees only): every tree attaining half order is a
-    pendant-path tree or the 3-leaf star.  The graph side adds the named
-    sporadic members and, as negative checks, even cycles outside the family.
-    """
+
+def _tree_half_rows(budget: int, rule: WitnessRule) -> list[ClaimRow]:
+    """Forward: every pendant-path tree attains half order.  Reverse (trees
+    only): every tree attaining half order is a pendant-path tree or the
+    3-leaf star."""
     conv = _BARE
     rows: list[ClaimRow] = []
-
     for label, t in _pendant_trees(budget):
         rows.append(_value_row("T-half", f"forward {label}", rule.value, t.n // 2,
                                lambda t=t: _gt2(t, rule, conv)))
@@ -616,7 +617,15 @@ def _half_rows(budget: int, rule: WitnessRule) -> tuple[ClaimRow, ...]:
             verdict = "PASS" if member else "FAIL"
             rows.append(ClaimRow("T-half", instance, rule.value, predicted, "attains n/2", verdict,
                                  "" if member else "tree attains half order but is outside the family"))
+    return rows
 
+
+def _graph_half_rows(budget: int, rule: WitnessRule) -> list[ClaimRow]:
+    """The named members attain half order: C6, C8, the K4 spanning subgraphs
+    and the rooted 4-cycle products; as negative checks, even cycles outside
+    the family do not."""
+    conv = _BARE
+    rows: list[ClaimRow] = []
     for n in (6, 8):
         if n <= budget:
             rows.append(_value_row("T-halfgraph", f"C{n}", rule.value, n // 2,
@@ -643,7 +652,10 @@ def _half_rows(budget: int, rule: WitnessRule) -> tuple[ClaimRow, ...]:
             continue
         rows.append(_guarded("T-halfgraph", f"negative C{n}", rule.value, f"!= {n}/2",
                              lambda n=n: _negative_cycle_row(n, rule, conv), _NEGATIVE_NOTE))
-    return tuple(rows)
+    return rows
+
+
+_HALF_ROW_BUILDERS = {"T-half": _tree_half_rows, "T-halfgraph": _graph_half_rows}
 
 
 def half_order_characterization_check(
@@ -653,16 +665,17 @@ def half_order_characterization_check(
     """Standalone run of the half-order characterization claims."""
     rows: list[ClaimRow] = []
     for rule in rules:
-        rows.extend(_half_rows(budget, rule))
+        for claim in _HALF_ROW_BUILDERS:
+            rows.extend(_half_rows(budget, rule, claim))
     return VerificationReport(rows, ["T-half", "T-halfgraph"], "T-half*", budget, _BARE)
 
 
 def _rows_t_half(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    return [r for r in _half_rows(budget, rule) if r.claim == "T-half"]
+    return list(_half_rows(budget, rule, "T-half"))
 
 
 def _rows_t_halfgraph(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    return [r for r in _half_rows(budget, rule) if r.claim == "T-halfgraph"]
+    return list(_half_rows(budget, rule, "T-halfgraph"))
 
 
 def _poly_equality_row(

@@ -312,16 +312,13 @@ def minimum_sets(
     return list(islice(_valid_sets(g, variant, (opt,)), limit))
 
 
-# -- exhaustive counting -------------------------------------------------
+# -- exact counting ------------------------------------------------------
 
-# Largest working set count_by_size may hold.  Subset m of the n vertices is
-# bit m of a 2^n-bit int, which Python stores at 4 bytes per 30 bits, so
-# 2^(n+1)/15 bytes.  At most n + 5 such ints are alive at once: the n
-# membership patterns, the valid subsets and four temporaries while the
-# witness clause is applied; fewer while the size classes are counted.  With
-# one more for the small objects around them, the working set is at most
-# (n + 6) * 2^(n+1) / 15 bytes from n = 16 on (below that the small objects
-# dominate, a few KiB): room for n <= 27.
+# The reach of count_by_size, kept from the 2^n enumeration it replaced:
+# that one held (n + 6) * 2^(n+1) / 15 bytes, at most 1 GiB, so n <= 27.  The
+# dynamic program's table follows the frontier width of its vertex order
+# instead: C24 needs a few KiB, and random 4-regular graphs on 27 vertices
+# about 20,000 states (a few MiB).
 _MAX_TABLE_BYTES = 1 << 30
 
 
@@ -329,48 +326,78 @@ def _table_bytes(n: int) -> int:
     return ((n + 6) << (n + 1)) // 15
 
 
-def _valid_subsets(g: Graph, variant: Variant) -> int:
-    """Bit m set iff subset m is a valid set.
+def _bfs_order(g: Graph) -> list[int]:
+    """The vertices breadth first, each component from a vertex of least degree."""
+    adj = g.adj
+    order: list[int] = []
+    seen = 0
+    for root in sorted(range(g.n), key=lambda v: adj[v].bit_count()):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        start = len(order)
+        order.append(root)
+        for v in islice(order, start, None):  # reads what it appends
+            fresh = adj[v] & ~seen
+            seen |= fresh
+            order.extend(iter_bits(fresh))
+    return order
 
-    Each clause is checked for all 2^n subsets at once: member[v] has bit m
-    set iff subset m contains v, so an OR of members is "contains one of
-    them" and an AND with it keeps the subsets that do.
+
+def _count_valid(g: Graph, variant: Variant) -> list[int]:
+    """Number of valid sets of each size, by a dynamic program over the vertices.
+
+    Every requirement is a clause.  Cover clause u (bit u) asks for a member
+    in ``cover[u]``.  Under semitotal, witness clause v (bit n + v) asks that
+    v be no member or that some vertex of ``witness[v]`` be one.  Both
+    relations are symmetric, so a member v meets the clauses in ``cover[v] |
+    witness[v] << n``, and an outsider v meets its own witness clause.
+
+    Vertices are decided in ``_bfs_order``, and a state is the set of
+    clauses the decided vertices meet.  A clause not met when its last
+    vertex is decided can no longer be met, so the state is dropped there.
+    Every kept state thus holds all closed clauses and none that no decided
+    vertex touches, so states differ only in the open clauses: the table
+    follows the frontier width of the order, not 2^n.  A state carries its
+    number of partial sets of each size, packed into one int with size k in
+    lane k of n + 1 bits, so adding v to the sets is a shift by one lane and
+    two states merge by one addition.  At the end at most one state, with
+    every clause met, is left.
     """
     n = g.n
-    span = 1 << n
-    member = []
-    for v in range(n):
-        # 2^v zeros, then 2^v ones, repeated up to 2^n bits by doubling
-        pattern, width = ((1 << (1 << v)) - 1) << (1 << v), 2 << v
-        while width < span:
-            pattern |= pattern << width
-            width <<= 1
-        member.append(pattern)
     cover = _cover_masks(g, variant)
-    witness = _witness_masks(g, variant.rule) if variant.kind == "semitotal" else None
-    valid = (1 << span) - 1
-    for v in range(n):
-        hit = 0
-        for u in iter_bits(cover[v]):
-            hit |= member[u]
-        valid &= hit
-        if witness is not None:
-            # drop the subsets that contain v but none of its witnesses
-            lonely = valid & member[v]
-            for w in iter_bits(witness[v]):
-                lonely ^= lonely & member[w]
-            valid ^= lonely
-    return valid
-
-
-def _size_classes(n: int) -> list[int]:
-    """size[k] has bit m set iff subset m of the n vertices has k members."""
-    size = [1] + [0] * n
-    for v in range(n):
-        # adding vertex v lifts every subset of size k - 1 to size k
-        for k in range(v + 1, 0, -1):
-            size[k] |= size[k - 1] << (1 << v)
-    return size
+    if variant.kind == "semitotal":
+        witness = _witness_masks(g, variant.rule)
+        met_in = [cover[v] | witness[v] << n for v in range(n)]
+        met_out = [1 << n + v for v in range(n)]
+    else:
+        met_in, met_out = cover, (0,) * n
+    order = _bfs_order(g)
+    closing, seen = [], 0
+    for v in reversed(order):
+        closing.append((met_in[v] | met_out[v]) & ~seen)
+        seen |= met_in[v] | met_out[v]
+    lane = n + 1
+    table = {0: 1}
+    for v, last in zip(order, reversed(closing)):
+        out, member = met_out[v], met_in[v]
+        nxt: dict[int, int] = {}
+        for state, counts in table.items():
+            key = state | out
+            if key & last == last:
+                if key in nxt:
+                    nxt[key] += counts
+                else:
+                    nxt[key] = counts
+            key = state | member
+            if key & last == last:
+                if key in nxt:
+                    nxt[key] += counts << lane
+                else:
+                    nxt[key] = counts << lane
+        table = nxt
+    packed = sum(table.values())
+    return [packed >> k * lane & (1 << lane) - 1 for k in range(n + 1)]
 
 
 def count_by_size(
@@ -379,12 +406,12 @@ def count_by_size(
     conv: Conventions = DEFAULT_CONVENTIONS,
     budget: int = 24,
 ) -> CountPolynomial:
-    """Number of valid sets of every cardinality, by full 2^n enumeration.
+    """Number of valid sets of every cardinality, by ``_count_valid``.
 
-    Pure enumeration, bit-sliced: every clause is checked for all subsets at
-    once with big-int bitwise operations; no closed form is ever consulted,
-    so the result can serve as the oracle for the counting claims.  The
-    complete-graph convention adds the singletons as valid sets.
+    Exact: the dynamic program counts every subset once, by the clauses
+    alone; no closed form is ever consulted, so the result can serve as the
+    oracle for the counting claims.  The complete-graph convention adds the
+    singletons as valid sets.
     """
     gated = _gate_applies(g, variant, conv)
     if not gated:
@@ -396,8 +423,7 @@ def count_by_size(
         raise BudgetExceededError(f"counting {g.n} vertices needs a {table_bytes}-byte table, "
                                   f"the limit is {_MAX_TABLE_BYTES}")
 
-    valid = _valid_subsets(g, variant)
-    coeffs = [(valid & size).bit_count() for size in _size_classes(g.n)]
+    coeffs = _count_valid(g, variant)
     if gated:
         coeffs[1] += g.n
     return CountPolynomial(coeffs)

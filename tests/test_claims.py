@@ -213,7 +213,7 @@ def test_programming_error_in_oracle_propagates(monkeypatch):
 
 @pytest.fixture
 def fresh_half_rows():
-    # _half_rows is cached per (budget, rule): rows computed with a patched
+    # _half_rows is cached per (budget, rule, claim): rows computed with a patched
     # oracle must neither come from nor stay in the cache.
     claims._half_rows.cache_clear()
     yield
@@ -264,6 +264,18 @@ def test_typed_error_becomes_undefined_row(monkeypatch, fresh_half_rows, oracle,
     if pattern == "T4-stab-FBS":
         row = next(r for r in computed if r.instance == "B1 (statement)")
         assert row.note == "statement value; BudgetExceededError: too large"
+
+
+def test_halfgraph_rows_build_no_trees(monkeypatch, fresh_half_rows):
+    # T-halfgraph's rows come from named graphs only; the tree enumeration
+    # belongs to T-half, whose per-claim time must not include it.
+    def no_trees(n):
+        raise AssertionError(f"T-halfgraph enumerated the trees on {n} vertices")
+
+    monkeypatch.setattr(claims, "_all_trees", no_trees)
+    report = run_claims("T-halfgraph", 10)
+    assert {r.claim for r in report.rows} == {"T-halfgraph"}
+    assert len(report.rows) > 10
 
 
 def test_verify_summary_matches_committed_b14_summary(capsys):

@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 from functools import reduce
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,9 @@ from conftest import graphs, relabeled, to_nx
 from corpus import family_corpus, full_corpus
 
 ALL_VARIANTS = (PLAIN, TOTAL, SEMITOTAL_WITHIN, SEMITOTAL_EXACT)
+# the variant names of the benchmark's expected-value files
+VARIANT_NAMES = {"plain": PLAIN, "total": TOTAL, "within2": SEMITOTAL_WITHIN, "exact2": SEMITOTAL_EXACT}
+EXPECTED_DIR = Path(__file__).parents[1] / "perfbench/expected"
 OFF = Conventions(complete_singleton=False)
 
 
@@ -262,15 +266,14 @@ def test_paths_and_cycles_beyond_oracle_range():
 def test_solve_workload_values_match_committed_values():
     # The benchmark's solve gate on its natural instances, run here so that
     # tier-1 sees it too.
-    expected = json.loads((Path(__file__).parents[1] / "perfbench/expected/solve.json").read_text())
+    expected = json.loads((EXPECTED_DIR / "solve.json").read_text())
     instances = {
         "P16": path(16), "C16": cycle(16), "P4xP4": cartesian(path(4), path(4)),
         "P35": path(35), "P40": path(40), "C35": cycle(35), "C40": cycle(40),
         "P6xP6": cartesian(path(6), path(6)), "P7xP7": cartesian(path(7), path(7)),
     }
-    names = {"plain": PLAIN, "total": TOTAL, "within2": SEMITOTAL_WITHIN, "exact2": SEMITOTAL_EXACT}
     for label, g in instances.items():
-        for name, variant in names.items():
+        for name, variant in VARIANT_NAMES.items():
             assert domination_number(g, variant) == expected[label][name], (label, name)
 
 
@@ -421,28 +424,74 @@ def test_count_matches_reference_enumeration():
                 assert counts[i] == sum(m.bit_count() == i for m in ref)
 
 
-def tallied_counts(g, variant, conv):
-    """By-size tally of the combination enumerator behind brute_force_number,
-    with the complete-graph gate and the isolate precondition restated from
-    their definitions."""
+def with_conventions(counter, g, variant, conv):
+    """``counter(g, variant)``'s coefficients with the complete-graph gate and
+    the isolate precondition restated from their definitions."""
     gated = variant.kind == "semitotal" and conv.complete_singleton and g.is_complete()
     if variant.kind != "plain" and not gated and not g.is_isolate_free():
         raise IsolatesError("reference: graph has an isolated vertex")
-    coeffs = [0] * (g.n + 1)
-    for m in _valid_sets(g, variant, range(1, g.n + 1)):
-        coeffs[m.bit_count()] += 1
+    coeffs = counter(g, variant)
     if gated:
         coeffs[1] += g.n
     return CountPolynomial(coeffs)
 
 
-@given(graphs(min_n=1, max_n=10))
-@settings(max_examples=200, deadline=None)
-def test_count_matches_valid_set_tally_random(g):
+def tallied_counts(g, variant):
+    """By-size tally of the combination enumerator behind brute_force_number."""
+    coeffs = [0] * (g.n + 1)
+    for m in _valid_sets(g, variant, range(1, g.n + 1)):
+        coeffs[m.bit_count()] += 1
+    return coeffs
+
+
+def bit_sliced_counts(g, variant):
+    """By-size counts of the 2^n bit-sliced enumeration count_by_size used
+    before its dynamic program: subset m is bit m of a 2^n-bit int, so each
+    clause is checked for all subsets at once.  member[v] has bit m set iff
+    subset m contains v, so an OR of members is "contains one of them" and
+    an AND with it keeps the subsets that do.  The masks come from the
+    graph's own neighbourhood methods."""
+    n = g.n
+    span = 1 << n
+    member = []
+    for v in range(n):
+        # 2^v zeros, then 2^v ones, repeated up to 2^n bits by doubling
+        pattern, width = ((1 << (1 << v)) - 1) << (1 << v), 2 << v
+        while width < span:
+            pattern |= pattern << width
+            width <<= 1
+        member.append(pattern)
+    cover = g.adj if variant.kind == "total" else g.closed
+    witness = None
+    if variant.kind == "semitotal":
+        near = g.ball_within_two if variant.rule is WitnessRule.WITHIN_TWO else g.sphere_exactly_two
+        witness = [near(v) for v in range(n)]
+    valid = (1 << span) - 1
+    for v in range(n):
+        hit = 0
+        for u in bits_list(cover[v]):
+            hit |= member[u]
+        valid &= hit
+        if witness is not None:
+            # drop the subsets that contain v but none of its witnesses
+            lonely = valid & member[v]
+            for w in bits_list(witness[v]):
+                lonely ^= lonely & member[w]
+            valid ^= lonely
+    # size[k] has bit m set iff subset m has k members; adding vertex v
+    # lifts every subset of size k - 1 to size k
+    size = [1] + [0] * n
+    for v in range(n):
+        for k in range(v + 1, 0, -1):
+            size[k] |= size[k - 1] << (1 << v)
+    return [(valid & s).bit_count() for s in size]
+
+
+def assert_counts_match(counter, g):
     for variant in ALL_VARIANTS:
         for conv in (Conventions(), OFF):
             try:
-                expected = tallied_counts(g, variant, conv)
+                expected = with_conventions(counter, g, variant, conv)
             except IsolatesError:
                 with pytest.raises(IsolatesError):
                     count_by_size(g, variant, conv)
@@ -450,24 +499,94 @@ def test_count_matches_valid_set_tally_random(g):
             assert count_by_size(g, variant, conv) == expected, (g.edges(), variant, conv)
 
 
-def test_plain_counts_follow_path_and_cycle_recurrence():
-    # Alikhani-Peng: D(G_n) = x (D(G_{n-1}) + D(G_{n-2}) + D(G_{n-3}))
-    def next_poly(a, b, c):
-        width = max(len(a), len(b), len(c))
-        pad = [p + [0] * (width - len(p)) for p in (a, b, c)]
-        return [0] + [x + y + z for x, y, z in zip(*pad)]
+@given(graphs(min_n=1, max_n=10))
+@settings(max_examples=200, deadline=None)
+def test_count_matches_valid_set_tally_random(g):
+    assert_counts_match(tallied_counts, g)
 
-    for builder, first, polys in (
-        (path, 1, [[0, 1], [0, 2, 1], [0, 1, 3, 1]]),
-        (cycle, 3, [[0, 3, 3, 1], [0, 0, 6, 4, 1], [0, 0, 5, 10, 5, 1]]),
-    ):
-        while first + len(polys) <= 24:
-            polys.append(next_poly(*polys[-3:]))
-        for n, expected in enumerate(polys, start=first):
+
+@given(graphs(min_n=1, max_n=16))
+@settings(max_examples=150, deadline=None)
+def test_count_matches_bit_sliced_enumeration_random(g):
+    assert_counts_match(bit_sliced_counts, g)
+
+
+def test_count_is_label_invariant(rng):
+    # the vertex order of the dynamic program follows the labels; the
+    # coefficients must not
+    chorded = []
+    for _ in range(3):
+        pairs = [(u, v) for u in range(14) for v in range(u + 2, 14) if rng.random() < 0.2]
+        chorded.append(Graph.from_edges(14, cycle(14).edges() + pairs))
+    for g in [cartesian(path(4), path(5)), cycle(18), complete_bipartite(3, 4)] + chorded:
+        for variant in ALL_VARIANTS:
+            natural = count_by_size(g, variant)
+            assert list(natural.coeffs) == bit_sliced_counts(g, variant), (g.edges(), variant)
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert count_by_size(relabeled(g, perm), variant) == natural, (g.edges(), variant, perm)
+
+
+def test_count_workload_values_match_committed_values():
+    # The benchmark's count gate on its instances, natural and relabelled,
+    # run here so that tier-1 sees it too.
+    expected = json.loads((EXPECTED_DIR / "count.json").read_text())
+    instances = {"C18": cycle(18), "P4xP5": cartesian(path(4), path(5)), "C22": cycle(22)}
+    plan = {"C18": tuple(VARIANT_NAMES), "P4xP5": tuple(VARIANT_NAMES), "C22": ("within2",)}
+    for label, g in instances.items():
+        perm = list(range(g.n))
+        random.Random(label).shuffle(perm)
+        for name in plan[label]:
+            for h in (g, relabeled(g, perm)):
+                assert list(count_by_size(h, VARIANT_NAMES[name]).coeffs) == expected[label][name], (label, name)
+
+
+def test_count_memory_follows_the_frontier():
+    # the 2^24 subsets of C24 pass through a table of a few dozen states
+    g = cycle(24)
+    tracemalloc.start()
+    try:
+        count_by_size(g, SEMITOTAL_WITHIN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+# Domination polynomials of P1-P3 and of C3-C5, by their first order.
+PATH_SEEDS = (1, ([0, 1], [0, 2, 1], [0, 1, 3, 1]))
+CYCLE_SEEDS = (3, ([0, 3, 3, 1], [0, 0, 6, 4, 1], [0, 0, 5, 10, 5, 1]))
+
+
+def alikhani_peng(seeds, last):
+    """Domination polynomials by order, from the seeds up to order ``last``,
+    by the Alikhani-Peng recurrence D(G_n) = x (D(G_{n-1}) + D(G_{n-2}) +
+    D(G_{n-3}))."""
+    first, polys = seeds[0], list(seeds[1])
+    while first + len(polys) <= last:
+        width = max(map(len, polys[-3:]))
+        pad = [p + [0] * (width - len(p)) for p in polys[-3:]]
+        polys.append([0] + [x + y + z for x, y, z in zip(*pad)])
+    return dict(enumerate(polys, start=first))
+
+
+def test_plain_counts_follow_path_and_cycle_recurrence():
+    for builder, seeds in ((path, PATH_SEEDS), (cycle, CYCLE_SEEDS)):
+        for n, expected in alikhani_peng(seeds, 24).items():
             if n >= 3:
                 assert count_by_size(builder(n), PLAIN) == CountPolynomial(expected), (builder, n)
     counts = count_by_size(cycle(24), SEMITOTAL_WITHIN)
     assert next(i for i in range(25) if counts[i]) == -(-48 // 5)
+
+
+def test_count_reaches_27_vertices():
+    assert count_by_size(cycle(27), PLAIN, budget=27) == CountPolynomial(alikhani_peng(CYCLE_SEEDS, 27)[27])
+    # a plain dominating set of K_{m,n} meets both sides or is a whole side
+    m, n = 13, 14
+    expected = [comb(m + n, k) - comb(m, k) - comb(n, k) + (k == m) + (k == n) for k in range(m + n + 1)]
+    expected[0] = 0
+    assert count_by_size(complete_bipartite(m, n), PLAIN, budget=27) == CountPolynomial(expected)
 
 
 @pytest.mark.parametrize("n", [16, 18, 20])
