@@ -162,12 +162,10 @@ def _build_parser() -> _Parser:
     p_count = sub.add_parser("count", help="by-size counts of valid sets")
     _add_graph_flags(p_count)
     _add_variant_flags(p_count)
-    p_count.add_argument("--budget", type=int, default=24, help="counting budget (max n)")
 
     p_poly = sub.add_parser("poly", help="counting polynomial, formatted")
     _add_graph_flags(p_poly)
     _add_variant_flags(p_poly)
-    p_poly.add_argument("--budget", type=int, default=24, help="counting budget (max n)")
 
     p_stab = sub.add_parser("stability", help="semitotal domination stability")
     _add_graph_flags(p_stab)
@@ -225,7 +223,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             value = domination_number(g, variant, _conv_of(args))
             _emit({**payload, "value": value})
             return 0 if value is not None else 2
-        counts = count_by_size(g, variant, _conv_of(args), budget=args.budget)
+        counts = count_by_size(g, variant, _conv_of(args))
         if args.command == "count":
             payload["coeffs"] = list(counts.coeffs)
         else:

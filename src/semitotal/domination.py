@@ -314,16 +314,11 @@ def minimum_sets(
 
 # -- exact counting ------------------------------------------------------
 
-# The reach of count_by_size, kept from the 2^n enumeration it replaced:
-# that one held (n + 6) * 2^(n+1) / 15 bytes, at most 1 GiB, so n <= 27.  The
-# dynamic program's table follows the frontier width of its vertex order
-# instead: C24 needs a few KiB, and random 4-regular graphs on 27 vertices
-# about 20,000 states (a few MiB).
-_MAX_TABLE_BYTES = 1 << 30
-
-
-def _table_bytes(n: int) -> int:
-    return ((n + 6) << (n + 1)) // 15
+# The most states the counting table may hold after a vertex step.  A step
+# at most doubles the table, so it never holds more than twice this many.
+# P8xP8 under exact2 peaks at 77,776 states and K13,14 at 8,192; K30,34
+# passes the cap with 18 of its 64 vertices decided.
+_MAX_STATES = 1 << 17
 
 
 def _bfs_order(g: Graph) -> list[int]:
@@ -362,7 +357,8 @@ def _count_valid(g: Graph, variant: Variant) -> list[int]:
     number of partial sets of each size, packed into one int with size k in
     lane k of n + 1 bits, so adding v to the sets is a shift by one lane and
     two states merge by one addition.  At the end at most one state, with
-    every clause met, is left.
+    every clause met, is left.  Raises ``BudgetExceededError`` once a step
+    leaves more than ``_MAX_STATES`` states.
     """
     n = g.n
     cover = _cover_masks(g, variant)
@@ -379,7 +375,7 @@ def _count_valid(g: Graph, variant: Variant) -> list[int]:
         seen |= met_in[v] | met_out[v]
     lane = n + 1
     table = {0: 1}
-    for v, last in zip(order, reversed(closing)):
+    for decided, (v, last) in enumerate(zip(order, reversed(closing)), 1):
         out, member = met_out[v], met_in[v]
         nxt: dict[int, int] = {}
         for state, counts in table.items():
@@ -395,6 +391,9 @@ def _count_valid(g: Graph, variant: Variant) -> list[int]:
                     nxt[key] += counts << lane
                 else:
                     nxt[key] = counts << lane
+        if len(nxt) > _MAX_STATES:
+            raise BudgetExceededError(f"counting needs more than {_MAX_STATES} states "
+                                      f"with {decided} of {n} vertices decided")
         table = nxt
     packed = sum(table.values())
     return [packed >> k * lane & (1 << lane) - 1 for k in range(n + 1)]
@@ -404,25 +403,20 @@ def count_by_size(
     g: Graph,
     variant: Variant,
     conv: Conventions = DEFAULT_CONVENTIONS,
-    budget: int = 24,
 ) -> CountPolynomial:
     """Number of valid sets of every cardinality, by ``_count_valid``.
 
     Exact: the dynamic program counts every subset once, by the clauses
     alone; no closed form is ever consulted, so the result can serve as the
     oracle for the counting claims.  The complete-graph convention adds the
-    singletons as valid sets.
+    singletons as valid sets.  No vertex budget applies: the table follows the
+    frontier width of the vertex order, so paths, cycles and narrow grids
+    count up to 64 vertices, and a graph whose table would pass
+    ``_MAX_STATES`` states is refused with ``BudgetExceededError`` instead.
     """
     gated = _gate_applies(g, variant, conv)
     if not gated:
         _validate(g, variant)
-    if g.n > budget:
-        raise BudgetExceededError(f"graph has {g.n} vertices, counting budget is {budget}")
-    table_bytes = _table_bytes(g.n)
-    if table_bytes > _MAX_TABLE_BYTES:
-        raise BudgetExceededError(f"counting {g.n} vertices needs a {table_bytes}-byte table, "
-                                  f"the limit is {_MAX_TABLE_BYTES}")
-
     coeffs = _count_valid(g, variant)
     if gated:
         coeffs[1] += g.n

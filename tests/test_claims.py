@@ -112,6 +112,22 @@ def test_difference_table_arithmetic_is_clean():
     assert gaps == [18, 21, 25, 33, 36, 40, 48, 51, 55, 63, 66, 70, 78, 81, 85]
 
 
+def test_difference_table_solver_side_reaches_the_budget():
+    report = run_claims("T2.2.i", budget=40)
+    eq_rows = [n for n in range(4, 41) if (pred := claims._path_difference_prediction(n)) and pred[0] == "eq"]
+    assert len(eq_rows) == 31
+    for rule in ("within2", "exact2"):
+        solver = {r.instance: r.verdict for r in report.rows if r.rule == rule and r.instance.startswith("solver")}
+        assert solver == {f"solver n={n}": "PASS" for n in eq_rows}, rule
+
+
+def test_friendship_counts_reach_27_vertices():
+    # F13 has 27 vertices; the counting DP holds a handful of states for it
+    report = run_claims("C-COUNT-Fn", budget=27)
+    assert "F13 i=27" in {r.instance for r in report.rows}
+    assert not [r for r in report.rows if r.verdict == "UNDEFINED"]
+
+
 def test_corona_bound_check_examples():
     row = corona_bound_check(path(4), complete(1), rule=WitnessRule.EXACTLY_TWO)
     assert row.verdict == "PASS"

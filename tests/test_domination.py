@@ -1,11 +1,11 @@
 import json
 import random
-import time
 import tracemalloc
 from functools import reduce
 from math import comb
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -43,12 +43,10 @@ from semitotal import (
     star,
 )
 from semitotal.domination import (
-    _MAX_TABLE_BYTES,
     _counting_bound,
     _gate_applies,
     _is_valid,
     _minimum_set,
-    _table_bytes,
     _valid_sets,
 )
 
@@ -369,8 +367,6 @@ def test_exact_rule_supersets_keep_domination_and_old_witnesses(g):
 def test_semitotal_predicate_against_networkx_distances(g):
     # independent oracle: recompute the witness condition with networkx BFS
     # distances instead of the package's distance-2 masks
-    import networkx as nx
-
     if not g.is_isolate_free():
         return
     nxg = to_nx(g)
@@ -408,11 +404,6 @@ def test_count_examples():
     assert count_by_size(star(3), SEMITOTAL_EXACT).coeffs == (0, 0, 0, 1, 0)
     assert count_by_size(cycle(4), SEMITOTAL_WITHIN)[2] == 6
     assert count_by_size(cycle(4), SEMITOTAL_EXACT)[2] == 2
-
-
-def test_count_budget_error():
-    with pytest.raises(BudgetExceededError):
-        count_by_size(path(15), PLAIN, budget=14)
 
 
 def test_count_matches_reference_enumeration():
@@ -580,34 +571,44 @@ def test_plain_counts_follow_path_and_cycle_recurrence():
     assert next(i for i in range(25) if counts[i]) == -(-48 // 5)
 
 
-def test_count_reaches_27_vertices():
-    assert count_by_size(cycle(27), PLAIN, budget=27) == CountPolynomial(alikhani_peng(CYCLE_SEEDS, 27)[27])
+def test_count_reaches_64_vertices():
+    for builder, seeds in ((path, PATH_SEEDS), (cycle, CYCLE_SEEDS)):
+        expected = CountPolynomial(alikhani_peng(seeds, 64)[64])
+        assert count_by_size(builder(64), PLAIN) == expected, builder
+        counts = count_by_size(builder(64), SEMITOTAL_WITHIN)
+        assert next(i for i in range(65) if counts[i]) == -(-128 // 5), builder
     # a plain dominating set of K_{m,n} meets both sides or is a whole side
-    m, n = 13, 14
+    m, n = 14, 15
     expected = [comb(m + n, k) - comb(m, k) - comb(n, k) + (k == m) + (k == n) for k in range(m + n + 1)]
     expected[0] = 0
-    assert count_by_size(complete_bipartite(m, n), PLAIN, budget=27) == CountPolynomial(expected)
+    assert count_by_size(complete_bipartite(m, n), PLAIN) == CountPolynomial(expected)
 
 
-@pytest.mark.parametrize("n", [16, 18, 20])
-def test_count_working_set_within_guard_figure(n):
-    g = cycle(n)
+def test_count_budget_error():
+    # wide graphs pass the state cap and are refused within a small working set
+    six_regular = Graph.from_edges(64, nx.random_regular_graph(6, 64, seed=1).edges())
+    for g in (complete_bipartite(30, 34), six_regular):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="states"):
+                count_by_size(g, PLAIN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, peak
+
+
+def test_count_refuses_oversized_working_set_before_allocating(monkeypatch):
+    monkeypatch.setattr("semitotal.domination._MAX_STATES", 64)
+    g = cartesian(path(4), path(5))
     tracemalloc.start()
     try:
-        count_by_size(g, SEMITOTAL_WITHIN)
+        with pytest.raises(BudgetExceededError, match=r"more than 64 states with \d+ of 20 vertices decided"):
+            count_by_size(g, SEMITOTAL_WITHIN)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _table_bytes(n), (peak, _table_bytes(n))
-
-
-def test_count_refuses_oversized_working_set_before_allocating():
-    assert _table_bytes(27) <= _MAX_TABLE_BYTES < _table_bytes(28)
-    g = cycle(29)
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceededError):
-        count_by_size(g, PLAIN, budget=64)
-    assert time.perf_counter() - start < 0.01
+    assert peak < 1 << 16, peak
 
 
 def test_count_convention_gate_adds_singletons():
