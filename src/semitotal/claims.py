@@ -16,10 +16,8 @@ import json
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, TypeVar
-
-import networkx as nx
 
 from .domination import (
     Conventions,
@@ -31,7 +29,7 @@ from .domination import (
     domination_number,
     semitotal,
 )
-from .errors import COMPUTATION_ERRORS
+from .errors import COMPUTATION_ERRORS, CapacityError
 from .families import (
     Attach,
     book,
@@ -47,12 +45,25 @@ from .families import (
     star,
     wheel,
 )
-from .graph import Graph, bits_list, iter_bits
+from .graph import Graph, WORD_BITS, bits_list, iter_bits
 from .polynomial import CountPolynomial, closed_form
 from .products import cartesian, corona, join, rooted_product
 from .stability import RemovalPolicy, stability_witness
 
 _BARE = Conventions(complete_singleton=False)
+
+
+def __getattr__(name: str):
+    # The benchmark tracer (perfbench/spans.py) proxies ``claims.nx``.  This
+    # module calls no networkx, so it is imported on the first read of that
+    # name only and untraced runs never load it.  Delete this together with
+    # the tracer's networkx proxy.
+    if name == "nx":
+        import networkx
+
+        globals()["nx"] = networkx
+        return networkx
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _ceil(a: int, b: int) -> int:
@@ -149,32 +160,82 @@ def _difference(g: Graph, rule: WitnessRule, conv: Conventions) -> int | None:
     return t2 - _gamma(g)
 
 
-def _to_nx(g: Graph) -> nx.Graph:
-    t = nx.Graph()
-    t.add_nodes_from(range(g.n))
-    t.add_edges_from(g.edges())
-    return t
-
-
 def _isomorphic(g: Graph, h: Graph) -> bool:
+    """Whether some vertex bijection maps g's edges onto h's; tries all n!,
+    which is 24 for the 4-vertex graphs it is called on."""
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
-        return False
-    return nx.is_isomorphic(_to_nx(g), _to_nx(h))
+    edges = g.edges()
+    return any(all(h.adj[p[u]] >> p[v] & 1 for u, v in edges) for p in permutations(range(g.n)))
 
 
-def _from_nx(t: nx.Graph, name: str | None = None) -> Graph:
-    order = {v: i for i, v in enumerate(sorted(t.nodes()))}
-    return Graph.from_edges(len(order), [(order[u], order[v]) for u, v in t.edges()], name)
+def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | None:
+    """Successor of a canonical level sequence (Beyer & Hedetniemi 1980)."""
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = list(levels)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _split_tree(levels: list[int]) -> tuple[list[int], list[int]]:
+    """The root's first subtree, and the tree without it, as level sequences."""
+    # levels[1] == 1 opens the first subtree; the next 1 closes it
+    m = next((i for i in range(2, len(levels)) if levels[i] == 1), len(levels))
+    return [x - 1 for x in levels[1:m]], [0] + levels[m:]
+
+
+def _next_tree(levels: list[int]) -> list[int]:
+    """The first level sequence from ``levels`` on that is the centre-rooted
+    canonical form of a free tree (Wright, Richmond, Odlyzko & McKay 1986)."""
+    left, rest = _split_tree(levels)
+    # free-tree canonical: the first subtree is no higher than the rest, and
+    # at equal heights no larger, then no later lexicographically
+    if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+        return levels
+    p = len(left)
+    out = _next_rooted_tree(levels, p)
+    if levels[p] > 2:
+        height = max(_split_tree(out)[0])
+        out[-(height + 1):] = range(1, height + 2)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _all_trees(n: int) -> tuple[Graph, ...]:
-    """All nonisomorphic trees on n vertices, deterministically ordered."""
+    """All nonisomorphic trees on n vertices, in the order networkx's
+    ``nonisomorphic_trees`` yields them, which runs the same algorithm.
+
+    A tree is a level sequence: the depths of its vertices in preorder, so
+    that the parent of vertex i is the last vertex before it one level up.
+    """
     if n == 1:
         return (Graph(1, [0], "K1"),)
-    return tuple(_from_nx(t, f"tree{n}") for t in nx.nonisomorphic_trees(n))
+    out = []
+    # the path, rooted at its centre, is the first sequence
+    levels: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        levels = _next_tree(levels)
+        rows = [0] * n
+        stack: list[int] = []
+        for i, level in enumerate(levels):
+            while stack and levels[stack[-1]] >= level:
+                stack.pop()
+            if stack:
+                rows[i] |= 1 << stack[-1]
+                rows[stack[-1]] |= 1 << i
+            stack.append(i)
+        out.append(Graph(n, rows, f"tree{n}"))
+        levels = _next_rooted_tree(levels)
+    return tuple(out)
 
 
 def _tree_code(t: Graph) -> str:
@@ -970,6 +1031,8 @@ def run_claims(
     conv: Conventions = DEFAULT_CONVENTIONS,
 ) -> VerificationReport:
     """Evaluate every registered claim whose id matches the glob pattern."""
+    if budget > WORD_BITS:
+        raise CapacityError(f"budget {budget} is above the word budget of {WORD_BITS} vertices")
     selected = [c for cid, c in REGISTRY.items() if fnmatch(cid, pattern)]
     rows: list[ClaimRow] = []
     for claim in selected:

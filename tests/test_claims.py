@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import networkx as nx
@@ -26,10 +29,10 @@ from semitotal import (
     run_claims,
 )
 from semitotal import claims
-from semitotal.claims import _tree_code
+from semitotal.claims import _all_trees, _isomorphic, _tree_code
 from semitotal.cli import cli
 
-from conftest import to_nx
+from conftest import relabeled, to_nx
 
 # every identity the harness must know about, frozen; a missing id fails the build
 CLAIM_MANIFEST = [
@@ -301,13 +304,34 @@ def test_verify_summary_matches_committed_b14_summary(capsys):
     assert json.loads(capsys.readouterr().out)["summary"] == expected
 
 
+# sha256 of the whole B = 12 JSON report, witness masks and row details
+# included; a change of any row or of its order shows here.
+B12_JSON_SHA256 = "42cdf65636ae7c80a6977d6da8e535c857ec245bf50f4007232131c081ae86e9"
+
+
 def test_verify_b12_output_is_byte_stable(capsys):
-    # sha256 of the whole report, witness masks and row details included;
-    # a change of any row or of its order shows here.
     assert cli(["verify", "--claims", "*", "--budget", "12", "--out", "json"]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "42cdf65636ae7c80a6977d6da8e535c857ec245bf50f4007232131c081ae86e9")
+    assert hashlib.sha256(out.encode()).hexdigest() == B12_JSON_SHA256
+
+
+def test_verify_runs_without_networkx():
+    # networkx is a test oracle only: importing the package and the CLI must
+    # not load it, and verify must give the same bytes with it blocked.
+    script = """
+import sys
+import semitotal, semitotal.cli
+assert not [m for m in sys.modules if m.partition(".")[0] == "networkx"], "networkx was imported"
+sys.modules["networkx"] = None  # any later import of it raises ImportError
+sys.exit(semitotal.cli.cli(["verify", "--claims", "*", "--budget", "12", "--out", "json"]))
+"""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == B12_JSON_SHA256
 
 
 @pytest.mark.parametrize("flags, digest", [
@@ -344,3 +368,33 @@ def test_tree_code_decides_isomorphism():
         for j in range(i, len(trees)):
             same = trees[i].n == trees[j].n and nx.is_isomorphic(as_nx[i], as_nx[j])
             assert (codes[i] == codes[j]) == same, (trees[i].edges(), trees[j].edges())
+
+
+# OEIS A000055: the number of trees on n unlabelled vertices, n = 0..12
+A000055 = [1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+
+
+def test_all_trees_follow_networkx_edge_for_edge():
+    # the same algorithm, so the same trees in the same order: the instance
+    # labels "tree{n}#{idx}" name the same trees either way
+    for n in range(1, 13):
+        expected = [sorted(tuple(sorted(e)) for e in t.edges())
+                    for t in (nx.nonisomorphic_trees(n) if n > 1 else [nx.empty_graph(1)])]
+        assert [t.edges() for t in _all_trees(n)] == expected, n
+        assert len(_all_trees(n)) == A000055[n]
+
+
+def test_isomorphic_by_permutation():
+    c4 = cycle(4)
+    relabellings = [relabeled(c4, perm) for perm in ([1, 0, 2, 3], [2, 3, 1, 0], [0, 2, 1, 3])]
+    assert all(_isomorphic(c4, h) and _isomorphic(h, c4) for h in relabellings)
+    k4 = complete(4)
+    k4_minus_e = Graph.from_edges(4, [e for e in k4.edges() if e != (0, 1)])
+    others = [c4, k4_minus_e, k4]
+    for i, g in enumerate(others):
+        for j, h in enumerate(others):
+            assert _isomorphic(g, h) == (i == j)
+    # six edges and all degrees 2 on both sides, yet not isomorphic
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert not _isomorphic(cycle(6), two_triangles)
+    assert _isomorphic(cycle(6), relabeled(cycle(6), [3, 1, 5, 0, 2, 4]))

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -62,6 +63,17 @@ def test_budget_error_exits_2(capsys):
     code, _, err = run(capsys, "stability", "--family", "path:13", "--budget", "12")
     assert code == 2
     assert "computation error" in err
+
+
+def test_verify_budget_above_word_size_fails_before_any_claim(capsys):
+    # at 65 some sweeps would run for minutes before a 65-vertex graph raised
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--budget", "65")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "computation error" in err
+    assert "word budget of 64" in err
 
 
 def test_count_table_too_large_fails_fast(capsys):
