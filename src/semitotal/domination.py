@@ -13,7 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Callable, Iterable, Iterator
+from math import comb
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, EmptyGraphError, IsolatesError
 from .graph import Graph, iter_bits, mask_from
@@ -174,12 +175,16 @@ def _valid_sets(g: Graph, variant: Variant, sizes: Iterable[int]) -> Iterator[in
 
 # -- exact optimization -------------------------------------------------
 
+# The default vertex budget of ``brute_force_number``, so at most 2^22 subsets;
+# ``minimum_sets`` refuses to enumerate more candidate sets than that.
+_ORACLE_BUDGET = 22
+
 
 def brute_force_number(
     g: Graph,
     variant: Variant,
     conv: Conventions = DEFAULT_CONVENTIONS,
-    budget: int = 22,
+    budget: int = _ORACLE_BUDGET,
 ) -> int | None:
     """Minimum size by enumerating subsets in increasing cardinality.
 
@@ -201,15 +206,30 @@ def domination_number(
     variant: Variant,
     conv: Conventions = DEFAULT_CONVENTIONS,
 ) -> int | None:
-    """Minimum size of a valid set by the branch and bound of ``_minimum_set``.
+    """Minimum size of a valid set.
 
-    Returns None when no valid set exists.
+    The first deepening level of ``_minimum_set``'s branch and bound runs
+    first; it is cheap and settles every graph whose root bound is already
+    the number (paths and cycles among them).  When it finds no set on a
+    graph with more subsets than ``_least_size`` may take state steps
+    (2^n > ``_MAX_NUMBER_STATES`` * n, from 17 vertices), the number comes
+    from that dynamic program instead, which refutes nothing.  When the
+    program passes its state cap, the deepening continues from the next
+    level.  Returns None when no valid set exists.
     """
     if _gate_applies(g, variant, conv):
         return 1
     _validate(g, variant)
-    best = _minimum_set(g, variant)
-    return None if best is None else best.bit_count()
+    levels = _levels(g, variant)
+    first = next(levels, 0)  # a valid set is never empty, so 0 means none exists
+    if first is not None:
+        return first.bit_count() or None
+    if 1 << g.n > _MAX_NUMBER_STATES * g.n:
+        try:
+            return _least_size(g, variant)
+        except BudgetExceededError:
+            pass
+    return next(filter(None, levels)).bit_count()
 
 
 def _packing(reqs: list[int]) -> int:
@@ -243,7 +263,18 @@ def _counting_bound(g: Graph, variant: Variant) -> Callable[[int], int]:
 
 
 def _minimum_set(g: Graph, variant: Variant) -> int | None:
-    """An optimal valid set as a mask, by iterative-deepening branch and bound.
+    """An optimal valid set as a mask, from the deepening of ``_levels``.
+
+    Deterministic.  Returns None when no valid set exists.  Applies no
+    convention and assumes ``_validate`` passed.
+    """
+    return next(filter(None, _levels(g, variant)), None)
+
+
+def _levels(g: Graph, variant: Variant) -> Iterator[int | None]:
+    """The levels of an iterative-deepening branch and bound, one per item:
+    None for a level with no valid set, then the first set found, as a mask.
+    Yields nothing when no valid set exists.
 
     A search node lists its open requirements: each uncovered vertex, whose
     candidates are the free (allowed, unchosen, unbanned) vertices covering
@@ -257,8 +288,6 @@ def _minimum_set(g: Graph, variant: Variant) -> int | None:
     disjoint candidate sets each need their own new member, so a greedy
     packing of them bounds the members still needed, as does
     ``_counting_bound``; both prune nodes and set the first deepening level.
-    Deterministic.  Returns None when no valid set exists.  Applies no
-    convention and assumes ``_validate`` passed.
     """
     cover = _cover_masks(g, variant)
     witness = _witness_masks(g, variant.rule) if variant.kind == "semitotal" else None
@@ -289,12 +318,13 @@ def _minimum_set(g: Graph, variant: Variant) -> int | None:
     # A semitotal set has at least two members: a singleton has no witness.
     reqs = sorted((cover[v] & allowed for v in range(n)), key=int.bit_count)
     if not reqs[0]:
-        return None
+        return
     need = _counting_bound(g, variant)
     k = max(_packing(reqs), need(n), 1 if witness is None else 2)
     while (found := search(0, 0, allowed, reqs, k)) is None:
+        yield None
         k += 1
-    return found
+    yield found
 
 
 def minimum_sets(
@@ -303,12 +333,21 @@ def minimum_sets(
     conv: Conventions = DEFAULT_CONVENTIONS,
     limit: int = 16,
 ) -> list[int]:
-    """Up to ``limit`` optimal sets as bit masks, in lexicographic vertex order."""
+    """Up to ``limit`` optimal sets as bit masks, in lexicographic vertex order.
+
+    The sets are enumerated among all candidate sets of the optimal size, so
+    a graph with more than 2^``_ORACLE_BUDGET`` of them, the oracle's
+    default subset budget, is refused with ``BudgetExceededError``.
+    """
     if _gate_applies(g, variant, conv):
         return [1 << v for v in range(min(limit, g.n))]
     opt = domination_number(g, variant, conv)
     if opt is None:
         return []
+    candidates = comb(len(_feasible_members(g, variant)), opt)
+    if candidates > 1 << _ORACLE_BUDGET:
+        raise BudgetExceededError(f"{candidates} candidate sets of size {opt}, "
+                                  f"enumeration budget is 2^{_ORACLE_BUDGET}")
     return list(islice(_valid_sets(g, variant, (opt,)), limit))
 
 
@@ -319,6 +358,12 @@ def minimum_sets(
 # P8xP8 under exact2 peaks at 77,776 states and K13,14 at 8,192; K30,34
 # passes the cap with 18 of its 64 vertices decided.
 _MAX_STATES = 1 << 17
+
+# The second, smaller cap, on the table of ``_least_size`` when
+# ``domination_number`` asks it for the number.  A refusal then costs a few
+# milliseconds before the branch and bound takes over: P7xP7 under within2
+# fits, and under exact2 (18,003 states) it stays on the branch and bound.
+_MAX_NUMBER_STATES = 1 << 12
 
 
 def _bfs_order(g: Graph) -> list[int]:
@@ -339,26 +384,18 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def _count_valid(g: Graph, variant: Variant) -> list[int]:
-    """Number of valid sets of each size, by a dynamic program over the vertices.
+def _clauses(g: Graph, variant: Variant) -> tuple[list[int], Sequence[int], Sequence[int], list[int]]:
+    """The clause encoding of the frontier dynamic programs, as ``(order,
+    met_in, met_out, closing)``.
 
     Every requirement is a clause.  Cover clause u (bit u) asks for a member
     in ``cover[u]``.  Under semitotal, witness clause v (bit n + v) asks that
     v be no member or that some vertex of ``witness[v]`` be one.  Both
-    relations are symmetric, so a member v meets the clauses in ``cover[v] |
-    witness[v] << n``, and an outsider v meets its own witness clause.
-
-    Vertices are decided in ``_bfs_order``, and a state is the set of
-    clauses the decided vertices meet.  A clause not met when its last
-    vertex is decided can no longer be met, so the state is dropped there.
-    Every kept state thus holds all closed clauses and none that no decided
-    vertex touches, so states differ only in the open clauses: the table
-    follows the frontier width of the order, not 2^n.  A state carries its
-    number of partial sets of each size, packed into one int with size k in
-    lane k of n + 1 bits, so adding v to the sets is a shift by one lane and
-    two states merge by one addition.  At the end at most one state, with
-    every clause met, is left.  Raises ``BudgetExceededError`` once a step
-    leaves more than ``_MAX_STATES`` states.
+    relations are symmetric, so a member v meets the clauses in ``met_in[v]
+    = cover[v] | witness[v] << n``, and an outsider v meets ``met_out[v]``,
+    its own witness clause.  Vertices are decided in ``order``, the
+    ``_bfs_order``; ``closing[i]`` holds the clauses whose last vertex is
+    ``order[i]``.
     """
     n = g.n
     cover = _cover_masks(g, variant)
@@ -373,9 +410,30 @@ def _count_valid(g: Graph, variant: Variant) -> list[int]:
     for v in reversed(order):
         closing.append((met_in[v] | met_out[v]) & ~seen)
         seen |= met_in[v] | met_out[v]
+    closing.reverse()
+    return order, met_in, met_out, closing
+
+
+def _count_valid(g: Graph, variant: Variant) -> list[int]:
+    """Number of valid sets of each size, by a dynamic program over the vertices.
+
+    Vertices are decided in the order of ``_clauses``, and a state is the
+    set of clauses the decided vertices meet.  A clause not met when its
+    last vertex is decided can no longer be met, so the state is dropped
+    there.  Every kept state thus holds all closed clauses and none that no
+    decided vertex touches, so states differ only in the open clauses: the
+    table follows the frontier width of the order, not 2^n.  A state carries
+    its number of partial sets of each size, packed into one int with size
+    k in lane k of n + 1 bits, so adding v to the sets is a shift by one
+    lane and two states merge by one addition.  At the end at most one
+    state, with every clause met, is left.  Raises ``BudgetExceededError``
+    once a step leaves more than ``_MAX_STATES`` states.
+    """
+    n = g.n
+    order, met_in, met_out, closing = _clauses(g, variant)
     lane = n + 1
     table = {0: 1}
-    for decided, (v, last) in enumerate(zip(order, reversed(closing)), 1):
+    for decided, (v, last) in enumerate(zip(order, closing), 1):
         out, member = met_out[v], met_in[v]
         nxt: dict[int, int] = {}
         for state, counts in table.items():
@@ -397,6 +455,33 @@ def _count_valid(g: Graph, variant: Variant) -> list[int]:
         table = nxt
     packed = sum(table.values())
     return [packed >> k * lane & (1 << lane) - 1 for k in range(n + 1)]
+
+
+def _least_size(g: Graph, variant: Variant) -> int | None:
+    """Least size of a valid set, by the dynamic program of ``_count_valid``
+    with min in place of counting: a state keeps the least number of members
+    that reach it.  Returns None when no valid set exists.  Applies no
+    convention.  Raises ``BudgetExceededError`` once a step leaves more than
+    ``_MAX_NUMBER_STATES`` states.
+    """
+    n = g.n
+    order, met_in, met_out, closing = _clauses(g, variant)
+    table = {0: 0}
+    for decided, (v, last) in enumerate(zip(order, closing), 1):
+        out, member = met_out[v], met_in[v]
+        nxt: dict[int, int] = {}
+        for state, size in table.items():
+            key = state | out
+            if key & last == last and nxt.get(key, n + 1) > size:
+                nxt[key] = size
+            key = state | member
+            if key & last == last and nxt.get(key, n + 1) > size + 1:
+                nxt[key] = size + 1
+        if len(nxt) > _MAX_NUMBER_STATES:
+            raise BudgetExceededError(f"the number needs more than {_MAX_NUMBER_STATES} states "
+                                      f"with {decided} of {n} vertices decided")
+        table = nxt
+    return min(table.values(), default=None)
 
 
 def count_by_size(

@@ -1,7 +1,9 @@
 import json
 import random
+import time
 import tracemalloc
 from functools import reduce
+from itertools import combinations, islice
 from math import comb
 from pathlib import Path
 
@@ -41,11 +43,14 @@ from semitotal import (
     petersen,
     semitotal,
     star,
+    wheel,
 )
+import semitotal.domination as domination
 from semitotal.domination import (
     _counting_bound,
     _gate_applies,
     _is_valid,
+    _least_size,
     _minimum_set,
     _valid_sets,
 )
@@ -180,6 +185,21 @@ def test_minimum_sets_examples():
     assert minimum_sets(complete(3), SEMITOTAL_EXACT, OFF) == []
 
 
+def test_minimum_sets_refuses_an_unbounded_enumeration():
+    # C(28, 12) = 30,421,755 candidate sets of the optimal size pass 2^22
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="candidate sets of size 12"):
+        minimum_sets(path(28), SEMITOTAL_WITHIN, limit=1)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_minimum_sets_of_p20_are_the_lexicographically_first():
+    g = path(20)
+    first = (mask_from(c) for c in combinations(range(20), 8))
+    expected = list(islice((m for m in first if is_semitotal(g, m, WitnessRule.WITHIN_TWO)), 5))
+    assert minimum_sets(g, SEMITOTAL_WITHIN, limit=5) == expected
+
+
 def test_minimum_sets_are_valid_and_optimal():
     for g in (path(7), cycle(8), complete_bipartite(3, 4), friendship(3)):
         for variant in ALL_VARIANTS:
@@ -232,7 +252,7 @@ def test_minimum_set_is_valid_and_optimal_random(g):
 
 
 def test_solver_matches_brute_force_sixteen_vertices():
-    from semitotal import join, wheel
+    from semitotal import join
 
     big = [path(16), cycle(16), complete_bipartite(8, 8), wheel(16),
            friendship(7), join(path(7), path(9))]
@@ -315,6 +335,92 @@ def test_solver_matches_reference_enumeration_small():
             ref = valid_masks(g, variant)
             expected = min((m.bit_count() for m in ref), default=None)
             assert domination_number(g, variant, OFF) == expected
+
+
+# -- the number from the frontier dynamic program ------------------------
+
+# the grids of the benchmark's solve workload
+SOLVE_GRIDS = {"P4xP9": (4, 9), "P6xP6": (6, 6), "P7xP7": (7, 7)}
+
+
+@given(graphs(min_n=1, max_n=12))
+@settings(max_examples=120, deadline=None)
+def test_least_size_matches_brute_force_random(g):
+    for variant in ALL_VARIANTS:
+        if variant.kind != "plain" and not g.is_isolate_free():
+            continue
+        assert _least_size(g, variant) == brute_force_number(g, variant, OFF), (g.edges(), variant)
+
+
+def test_least_size_is_the_lowest_count():
+    for g in full_corpus(12):
+        for variant in ALL_VARIANTS:
+            if variant.kind != "plain" and not g.is_isolate_free():
+                continue
+            counts = count_by_size(g, variant, OFF)
+            lowest = next((k for k in range(g.n + 1) if counts[k]), None)
+            assert _least_size(g, variant) == lowest, (g.name, variant)
+
+
+def test_least_size_of_relabelled_grids_matches_committed_values(monkeypatch):
+    # exact2 P7xP7 needs 18,003 states, so the counting cap stands in here
+    monkeypatch.setattr(domination, "_MAX_NUMBER_STATES", domination._MAX_STATES)
+    expected = json.loads((EXPECTED_DIR / "solve.json").read_text())
+    for label, (a, b) in SOLVE_GRIDS.items():
+        g = cartesian(path(a), path(b))
+        for seed in range(4):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            h = relabeled(g, perm)
+            for name, variant in VARIANT_NAMES.items():
+                assert _least_size(h, variant) == expected[label][name], (label, seed, name)
+
+
+def test_number_dispatch_reaches_the_dp_only_past_sixteen_vertices(monkeypatch):
+    calls = []
+    least = domination._least_size
+    monkeypatch.setattr(domination, "_least_size", lambda g, v: calls.append(g.n) or least(g, v))
+    # the root level settles P35 and P7xP7 under total; the grids under
+    # within2 need the program, and 16 vertices never reach it
+    assert domination_number(path(35), SEMITOTAL_WITHIN) == 14
+    assert domination_number(cartesian(path(7), path(7)), TOTAL) == 15
+    assert domination_number(cartesian(path(4), path(4)), SEMITOTAL_WITHIN) == 5
+    assert calls == []
+    assert domination_number(cartesian(path(7), path(7)), SEMITOTAL_WITHIN) == 14
+    assert calls == [49]
+
+
+def test_number_falls_back_to_the_deepening_when_the_dp_refuses(monkeypatch):
+    monkeypatch.setattr(domination, "_MAX_NUMBER_STATES", 8)
+    refused, deepenings = [], []
+    least, levels = domination._least_size, domination._levels
+
+    def counted_least(g, variant):
+        try:
+            return least(g, variant)
+        except BudgetExceededError:
+            refused.append(g.n)
+            raise
+
+    monkeypatch.setattr(domination, "_least_size", counted_least)
+    monkeypatch.setattr(domination, "_levels", lambda g, v: deepenings.append(g.n) or levels(g, v))
+    expected = json.loads((EXPECTED_DIR / "solve.json").read_text())
+    for label, (a, b) in SOLVE_GRIDS.items():
+        g = cartesian(path(a), path(b))
+        for name, variant in VARIANT_NAMES.items():
+            refused.clear()
+            deepenings.clear()
+            assert domination_number(g, variant) == expected[label][name], (label, name)
+            assert len(deepenings) == 1, (label, name)  # one deepening, continued
+        assert refused == [g.n], label  # exact2 reached the program and was refused
+
+
+def test_number_of_wide_graphs_is_fast():
+    start = time.perf_counter()
+    for g in (complete_bipartite(30, 34), wheel(40), friendship(20)):
+        for variant in ALL_VARIANTS:
+            assert domination_number(g, variant) is not None, (g.name, variant)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- structural properties ------------------------------------------------
