@@ -828,7 +828,7 @@ def _stab_value_row(
     note: str = "",
 ) -> ClaimRow:
     def build() -> ClaimRow:
-        hit = stability_witness(g, rule, conv, RemovalPolicy.SKIP_SET, budget=g.n)
+        hit = stability_witness(g, rule, conv, RemovalPolicy.SKIP_SET)
         if hit is None:
             return ClaimRow(claim, instance, rule.value, _show(predicted), "undefined", "FAIL",
                             (note + "; " if note else "") + "no removal changes the value")

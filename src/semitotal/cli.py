@@ -78,10 +78,6 @@ def _parse_family(spec: str) -> Graph:
         raise _UsageError(str(exc)) from None
 
 
-def _format_from_flag(value: str) -> GraphFormat:
-    return GraphFormat.EDGE_LIST if value == "edgelist" else GraphFormat.GRAPH6
-
-
 def _read_graph(path_arg: str, fmt: GraphFormat) -> Graph:
     """Read and parse a graph file ('-' for stdin).
 
@@ -105,7 +101,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if args.family:
         return _parse_family(args.family)
     if args.input:
-        return _read_graph(args.input, _format_from_flag(args.format))
+        return _read_graph(args.input, GraphFormat(args.format))
     raise _UsageError("provide a graph via --family or --input")
 
 
@@ -123,12 +119,16 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
                    help="format of --input (default edgelist)")
 
 
-def _add_variant_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=["plain", "total", "semitotal"], default="semitotal")
+def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule", choices=["within2", "exact2"], default="within2",
                    help="witness rule for the semitotal variant")
     p.add_argument("--kn-convention", choices=["on", "off"], default="on",
                    help="treat the semitotal number of a complete graph as 1")
+
+
+def _add_variant_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", choices=["plain", "total", "semitotal"], default="semitotal")
+    _add_rule_flags(p)
 
 
 def _variant_of(args: argparse.Namespace) -> Variant:
@@ -169,10 +169,8 @@ def _build_parser() -> _Parser:
 
     p_stab = sub.add_parser("stability", help="semitotal domination stability")
     _add_graph_flags(p_stab)
-    p_stab.add_argument("--rule", choices=["within2", "exact2"], default="within2")
+    _add_rule_flags(p_stab)
     p_stab.add_argument("--policy", choices=["skip", "changed"], default="skip")
-    p_stab.add_argument("--kn-convention", choices=["on", "off"], default="on")
-    p_stab.add_argument("--budget", type=int, default=16, help="stability budget (max n)")
 
     p_family = sub.add_parser("family", help="emit a named family graph")
     p_family.add_argument("spec", help="e.g. wheel:8 or petersen")
@@ -233,9 +231,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "stability":
         g = _load_graph(args)
-        rule = WitnessRule(args.rule)
-        policy = RemovalPolicy.SKIP_SET if args.policy == "skip" else RemovalPolicy.COUNT_AS_CHANGED
-        hit = stability_witness(g, rule, _conv_of(args), policy, budget=args.budget)
+        hit = stability_witness(g, WitnessRule(args.rule), _conv_of(args), RemovalPolicy(args.policy))
         payload = {
             "graph": _graph_payload(g),
             "rule": args.rule,
@@ -248,19 +244,19 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "family":
         g = _parse_family(args.spec)
-        sys.stdout.write(emit_graph(g, _format_from_flag(args.format)))
+        sys.stdout.write(emit_graph(g, GraphFormat(args.format)))
         if args.format == "graph6":
             sys.stdout.write("\n")
         return 0
 
     if args.command == "product":
-        in_fmt = _format_from_flag(args.in_format)
+        in_fmt = GraphFormat(args.in_format)
         left = _graph_source(args.left, in_fmt)
         right = _graph_source(args.right, in_fmt)
         ops = {"corona": corona, "cartesian": cartesian, "join": join,
                "diamond": lambda a, b: rooted_product(a, b, 0)}
         g = ops[args.kind](left, right)
-        sys.stdout.write(emit_graph(g, _format_from_flag(args.out_format)))
+        sys.stdout.write(emit_graph(g, GraphFormat(args.out_format)))
         if args.out_format == "graph6":
             sys.stdout.write("\n")
         return 0

@@ -164,9 +164,15 @@ def _is_valid(g: Graph, variant: Variant, members: int) -> bool:
 
 def _valid_sets(g: Graph, variant: Variant, sizes: Iterable[int]) -> Iterator[int]:
     """Valid sets over the feasible members, size by size in the given order,
-    lexicographic in vertex order within one size."""
+    lexicographic in vertex order within one size.  Refused before a size
+    that takes the sets visited past ``_MAX_SETS``."""
     pool = [1 << v for v in _feasible_members(g, variant)]
+    total = 0
     for k in sizes:
+        candidates = comb(len(pool), k)
+        total += candidates
+        if total > _MAX_SETS:
+            raise BudgetExceededError(f"{candidates} candidate sets of size {k} take the total past {_MAX_SETS} sets")
         for combo in combinations(pool, k):
             m = sum(combo)
             if _is_valid(g, variant, m):
@@ -175,25 +181,23 @@ def _valid_sets(g: Graph, variant: Variant, sizes: Iterable[int]) -> Iterator[in
 
 # -- exact optimization -------------------------------------------------
 
-# The default vertex budget of ``brute_force_number``, so at most 2^22 subsets;
-# ``minimum_sets`` refuses to enumerate more candidate sets than that.
-_ORACLE_BUDGET = 22
+# The most sets an exhaustive enumeration may visit: candidate sets in
+# ``_valid_sets``, removal sets in the stability scan.  Below 23 vertices it never binds.
+_MAX_SETS = 1 << 22
 
 
 def brute_force_number(
     g: Graph,
     variant: Variant,
     conv: Conventions = DEFAULT_CONVENTIONS,
-    budget: int = _ORACLE_BUDGET,
 ) -> int | None:
     """Minimum size by enumerating subsets in increasing cardinality.
 
     The oracle the branch-and-bound solver is checked against.  Returns None
     when no valid set of any size exists (possible under the exact-distance
-    witness rule).
+    witness rule).  Refused with ``BudgetExceededError`` before the size that
+    takes the subsets visited past ``_MAX_SETS``, after up to about 11 s.
     """
-    if g.n > budget:
-        raise BudgetExceededError(f"graph has {g.n} vertices, oracle budget is {budget}")
     if _gate_applies(g, variant, conv):
         return 1
     _validate(g, variant)
@@ -336,18 +340,16 @@ def minimum_sets(
     """Up to ``limit`` optimal sets as bit masks, in lexicographic vertex order.
 
     The sets are enumerated among all candidate sets of the optimal size, so
-    a graph with more than 2^``_ORACLE_BUDGET`` of them, the oracle's
-    default subset budget, is refused with ``BudgetExceededError``.
+    a graph with more than ``_MAX_SETS`` of them is refused with
+    ``BudgetExceededError`` before any is visited.
     """
+    if limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     if _gate_applies(g, variant, conv):
         return [1 << v for v in range(min(limit, g.n))]
     opt = domination_number(g, variant, conv)
     if opt is None:
         return []
-    candidates = comb(len(_feasible_members(g, variant)), opt)
-    if candidates > 1 << _ORACLE_BUDGET:
-        raise BudgetExceededError(f"{candidates} candidate sets of size {opt}, "
-                                  f"enumeration budget is 2^{_ORACLE_BUDGET}")
     return list(islice(_valid_sets(g, variant, (opt,)), limit))
 
 

@@ -11,6 +11,7 @@ from .domination import (
     Conventions,
     DEFAULT_CONVENTIONS,
     WitnessRule,
+    _MAX_SETS,
     _gate_applies,
     _minimum_set,
     _packing,
@@ -74,14 +75,11 @@ def _stability_search(
     rule: WitnessRule,
     conv: Conventions,
     policy: RemovalPolicy,
-    budget: int,
 ) -> tuple[int, int] | None:
     if g.n < 2:
         raise EmptyGraphError("stability needs a graph on at least 2 vertices")
     if not g.is_isolate_free():
         raise IsolatesError("stability requires an isolate-free graph")
-    if g.n > budget:
-        raise BudgetExceededError(f"graph has {g.n} vertices, stability budget is {budget}")
     variant = semitotal(rule)
     base = domination_number(g, variant, conv)
     out_of_domain = policy is RemovalPolicy.COUNT_AS_CHANGED
@@ -139,8 +137,12 @@ def _stability_search(
     # Residue values by residue key; only a residue the screen cannot settle is built.
     cache: dict[tuple[int, ...], int | None] = {}
     prev = _lower_twins(g.adj)
+    scanned = 0
     for k in range(1, g.n):
         for removed, key in _removal_sets(g.adj, prev, k):
+            scanned += 1
+            if scanned > _MAX_SETS:
+                raise BudgetExceededError(f"the stability scan passed {_MAX_SETS} removal sets at size {k}")
             if 0 in key:
                 value = None
             elif key in cache:
@@ -157,16 +159,16 @@ def semitotal_stability(
     rule: WitnessRule = WitnessRule.WITHIN_TWO,
     conv: Conventions = DEFAULT_CONVENTIONS,
     policy: RemovalPolicy = RemovalPolicy.SKIP_SET,
-    budget: int = 16,
 ) -> int | None:
     """Least k such that removing some k vertices changes the semitotal number.
 
     Subsets are scanned in increasing size, so by construction every smaller
     removal set either leaves the number unchanged or is handled by the
     policy.  Returns None when no removal of fewer than n vertices changes
-    the number under SKIP_SET.
+    the number under SKIP_SET.  Refused with ``BudgetExceededError`` once the
+    scan passes ``_MAX_SETS`` removal sets, which can take 40 s.
     """
-    hit = _stability_search(g, rule, conv, policy, budget)
+    hit = _stability_search(g, rule, conv, policy)
     return None if hit is None else hit[0]
 
 
@@ -175,10 +177,10 @@ def stability_witness(
     rule: WitnessRule = WitnessRule.WITHIN_TWO,
     conv: Conventions = DEFAULT_CONVENTIONS,
     policy: RemovalPolicy = RemovalPolicy.SKIP_SET,
-    budget: int = 16,
 ) -> tuple[int, int] | None:
     """Minimal change-achieving removal set, lexicographically least.
 
     Returns (k, removal mask), or None when no removal changes the number.
+    Refused as ``semitotal_stability`` is.
     """
-    return _stability_search(g, rule, conv, policy, budget)
+    return _stability_search(g, rule, conv, policy)

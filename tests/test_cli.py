@@ -53,16 +53,27 @@ def test_num_undefined_exits_2(capsys):
 def test_usage_errors_exit_1(capsys):
     for argv in (["nonsense"], ["num", "--family", "blob:3"], ["num"], [],
                  ["num", "--family", "path:zero"], ["family", "path:0"],
-                 ["count", "--family", "path:5", "--budget", "5"]):
+                 ["count", "--family", "path:5", "--budget", "5"],
+                 ["stability", "--family", "path:5", "--budget", "5"]):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert "error" in err or "usage" in err
 
 
-def test_budget_error_exits_2(capsys):
-    code, _, err = run(capsys, "stability", "--family", "path:13", "--budget", "12")
+def test_budget_error_exits_2(capsys, monkeypatch):
+    # the hit of K10,10 at k = 18 is the 116th of its 119 removal sets
+    monkeypatch.setattr("semitotal.stability._MAX_SETS", 50)
+    code, _, err = run(capsys, "stability", "--family", "complete_bipartite:10,10")
     assert code == 2
     assert "computation error" in err
+    assert "removal sets" in err
+
+
+def test_stability_takes_no_vertex_budget(capsys):
+    # refused with the former default budget of 16 vertices
+    code, out, _ = run(capsys, "stability", "--family", "path:20")
+    assert code == 0
+    assert json.loads(out)["graph"]["n"] == 20
 
 
 def test_verify_budget_above_word_size_fails_before_any_claim(capsys):
@@ -118,7 +129,7 @@ def test_stability_cli(capsys):
 
 
 def test_stability_cli_twin_classes_past_the_full_scan_reach(capsys):
-    code, out, _ = run(capsys, "stability", "--family", "complete_bipartite:10,10", "--budget", "20")
+    code, out, _ = run(capsys, "stability", "--family", "complete_bipartite:10,10")
     assert code == 0
     assert '"value": 18' in out
 
@@ -253,8 +264,8 @@ def test_help_exits_zero():
 
 
 # Fuzzing inputs stay tiny: integers are at most 7, so no family exceeds 16
-# vertices and no stability --budget is large.  Junk text has no digit, so
-# it never parses as an integer, and is never '-' (which would read stdin).
+# vertices.  Junk text has no digit, so it never parses as an integer, and
+# is never '-' (which would read stdin).
 _SMALL_INT = st.integers(-2, 7).map(str)
 _JUNK = st.text(st.characters(blacklist_categories=("Nd",)), max_size=4).filter(lambda t: t.lstrip("@") != "-")
 
@@ -288,7 +299,7 @@ _FLAGS = {
     "num": _VARIANT_FLAGS,
     "count": _VARIANT_FLAGS,
     "poly": _VARIANT_FLAGS,
-    "stability": ["--format", "--rule", "--policy", "--kn-convention", "--budget"],
+    "stability": ["--format", "--rule", "--policy", "--kn-convention"],
     "family": ["--format"],
     "product": ["--in-format", "--out-format"],
 }
@@ -308,9 +319,7 @@ def _argv(draw):
         argv = [command, "--family", draw(_spec())]
     for _ in range(draw(st.integers(0, 3))):
         flag = draw(_mostly(st.sampled_from(_FLAGS.get(command, _BAD_FLAGS)), st.sampled_from(_BAD_FLAGS) | _JUNK))
-        if flag == "--budget":
-            argv += [flag, draw(_mostly(_SMALL_INT))]
-        elif flag in _CHOICES:
+        if flag in _CHOICES:
             argv += [flag, draw(_mostly(st.sampled_from(_CHOICES[flag])))]
         elif flag in ("--family", "--left"):
             argv += [flag, draw(_spec())]
@@ -341,7 +350,7 @@ def test_cli_fuzzed_arguments_exit_cleanly(argv):
         ["num", "--input", "{}", "--format"],
         ["num", "--variant", "plain", "--input", "{}", "--format"],
         ["count", "--input", "{}", "--format"],
-        ["stability", "--budget", "8", "--input", "{}", "--format"],
+        ["stability", "--input", "{}", "--format"],
         ["product", "join", "--left", "@{}", "--right", "path:2", "--in-format"],
     ]),
 )

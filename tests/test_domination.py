@@ -145,9 +145,28 @@ def test_brute_force_examples():
 
 
 def test_brute_force_budget():
-    with pytest.raises(BudgetExceededError):
-        brute_force_number(path(23), PLAIN)
-    assert brute_force_number(path(23), PLAIN, budget=23) == 8
+    # no vertex count is refused as such: the 880,969 nonempty subsets of P23
+    # of size at most 8 stay within _MAX_SETS
+    assert brute_force_number(path(23), PLAIN) == 8
+
+
+def test_brute_force_refuses_before_the_size_past_the_bound(monkeypatch):
+    # P6 has 6 singletons and 15 pairs, and its plain number is 2
+    monkeypatch.setattr(domination, "_MAX_SETS", 21)
+    assert brute_force_number(path(6), PLAIN) == 2
+    monkeypatch.setattr(domination, "_MAX_SETS", 20)
+    sizes = []
+    valid = domination._is_valid
+    monkeypatch.setattr(domination, "_is_valid", lambda g, v, m: sizes.append(m.bit_count()) or valid(g, v, m))
+    with pytest.raises(BudgetExceededError, match="15 candidate sets of size 2"):
+        brute_force_number(path(6), PLAIN)
+    assert sizes == [1] * 6
+
+
+def test_brute_force_applies_the_convention_before_its_bound():
+    # 2^30 subsets would pass _MAX_SETS, but K30 has the conventional value
+    assert domination_number(complete(30), SEMITOTAL_WITHIN) == 1
+    assert brute_force_number(complete(30), SEMITOTAL_WITHIN) == 1
 
 
 def test_empty_and_isolate_errors():
@@ -191,6 +210,13 @@ def test_minimum_sets_refuses_an_unbounded_enumeration():
     with pytest.raises(BudgetExceededError, match="candidate sets of size 12"):
         minimum_sets(path(28), SEMITOTAL_WITHIN, limit=1)
     assert time.perf_counter() - start < 0.1
+
+
+def test_minimum_sets_rejects_a_negative_limit():
+    # the convention decides K4, not P5; both are refused alike
+    for g in (path(5), complete(4)):
+        with pytest.raises(ValueError, match="limit must be at least 0, got -1"):
+            minimum_sets(g, SEMITOTAL_WITHIN, limit=-1)
 
 
 def test_minimum_sets_of_p20_are_the_lexicographically_first():
@@ -258,7 +284,7 @@ def test_solver_matches_brute_force_sixteen_vertices():
            friendship(7), join(path(7), path(9))]
     for g in big:
         for variant in ALL_VARIANTS:
-            assert domination_number(g, variant) == brute_force_number(g, variant, budget=16)
+            assert domination_number(g, variant) == brute_force_number(g, variant)
 
 
 def test_solver_is_label_invariant_on_paper_families():

@@ -90,9 +90,8 @@ def test_preconditions():
         semitotal_stability(complete(1), EXACT)
     with pytest.raises(IsolatesError):
         semitotal_stability(Graph.from_edges(3, [(0, 1)]), EXACT)
-    with pytest.raises(BudgetExceededError):
-        semitotal_stability(path(17), EXACT)
-    assert semitotal_stability(path(17), EXACT, budget=17) is not None
+    # no vertex count is refused as such
+    assert semitotal_stability(path(17), EXACT) is not None
 
 
 def test_search_is_self_consistent():
@@ -135,14 +134,12 @@ def test_convention_matters_for_tiny_residues():
     assert off is None
 
 
-def _reference_search(g, rule, conv, policy, budget):
+def _reference_search(g, rule, conv, policy):
     """The search as first written: every removal set builds its residue graph."""
     if g.n < 2:
         raise EmptyGraphError("stability needs a graph on at least 2 vertices")
     if not g.is_isolate_free():
         raise IsolatesError("stability requires an isolate-free graph")
-    if g.n > budget:
-        raise BudgetExceededError(f"graph has {g.n} vertices, stability budget is {budget}")
     base = domination_number(g, semitotal(rule), conv)
     cache = {}
     for k in range(1, g.n):
@@ -181,13 +178,12 @@ def _without_isolates(g):
     st.sampled_from(list(WitnessRule)),
     st.sampled_from(list(RemovalPolicy)),
     st.booleans(),
-    st.sampled_from([8, 16]),
 )
 @settings(max_examples=150, deadline=None)
-def test_search_matches_reference_random(g, rule, policy, singleton, budget):
+def test_search_matches_reference_random(g, rule, policy, singleton):
     conv = Conventions(singleton)
-    expected = _outcome(_reference_search, g, rule, conv, policy, budget)
-    assert _outcome(stability_witness, g, rule, conv, policy, budget) == expected
+    expected = _outcome(_reference_search, g, rule, conv, policy)
+    assert _outcome(stability_witness, g, rule, conv, policy) == expected
 
 
 @st.composite
@@ -216,13 +212,12 @@ def blown_up_graphs(draw):
     st.sampled_from(list(WitnessRule)),
     st.sampled_from(list(RemovalPolicy)),
     st.booleans(),
-    st.sampled_from([8, 16]),
 )
 @settings(max_examples=150, deadline=None)
-def test_search_matches_reference_on_twin_rich_graphs(g, rule, policy, singleton, budget):
+def test_search_matches_reference_on_twin_rich_graphs(g, rule, policy, singleton):
     conv = Conventions(singleton)
-    expected = _outcome(_reference_search, g, rule, conv, policy, budget)
-    assert _outcome(stability_witness, g, rule, conv, policy, budget) == expected
+    expected = _outcome(_reference_search, g, rule, conv, policy)
+    assert _outcome(stability_witness, g, rule, conv, policy) == expected
 
 
 def _twin_classes(g):
@@ -261,7 +256,19 @@ def test_kmn_scans_one_set_per_class_profile(m, n):
 
 
 def test_kmn_past_the_full_scan_reach():
-    assert stability_witness(complete_bipartite(10, 10), WITHIN, budget=20) == (18, 523775)
+    assert stability_witness(complete_bipartite(10, 10), WITHIN) == (18, 523775)
+
+
+def test_scan_is_refused_past_the_set_bound(monkeypatch):
+    # P7 v P7 has no twins, and its hit at k = 7 is the 6,476th set scanned
+    g = join(path(7), path(7))
+    monkeypatch.setattr("semitotal.stability._MAX_SETS", 6476)
+    assert stability_witness(g, WITHIN) == (7, 127)
+    monkeypatch.setattr("semitotal.stability._MAX_SETS", 6475)
+    with pytest.raises(BudgetExceededError, match="passed 6475 removal sets at size 7"):
+        stability_witness(g, WITHIN)
+    with pytest.raises(BudgetExceededError):
+        semitotal_stability(g, WITHIN)
 
 
 @pytest.mark.parametrize("g", [path(7), cycle(8), complete_bipartite(3, 4), wheel(7)], ids=lambda g: g.name)
@@ -285,7 +292,7 @@ def test_twin_pruned_keys_match_deleted_residues(g):
 def _search_peak(g):
     tracemalloc.start()
     try:
-        hit = stability_witness(g, WITHIN, budget=14)
+        hit = stability_witness(g, WITHIN)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,7 +318,7 @@ def _agrees_with_reference(g):
     for rule in WitnessRule:
         for policy in RemovalPolicy:
             for singleton in (True, False):
-                args = (g, rule, Conventions(singleton), policy, 16)
+                args = (g, rule, Conventions(singleton), policy)
                 assert _outcome(stability_witness, *args) == _outcome(_reference_search, *args), args[1:4]
 
 
