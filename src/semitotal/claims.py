@@ -25,6 +25,8 @@ from .domination import (
     PLAIN,
     TOTAL,
     WitnessRule,
+    _set_of_at_most,
+    _solved_once,
     count_by_size,
     domination_number,
     semitotal,
@@ -664,14 +666,19 @@ def _tree_half_rows(budget: int, rule: WitnessRule) -> list[ClaimRow]:
     for label, t in _pendant_trees(budget):
         rows.append(_value_row("T-half", f"forward {label}", rule.value, t.n // 2,
                                lambda t=t: _gt2(t, rule, conv)))
-    for n in range(4, min(budget, _TREE_CAP) + 1):
+    # An odd order is never twice a value, so only even orders give rows.
+    # A tree attains n/2 when it has a set of n/2 members and none of fewer.
+    variant = semitotal(rule)
+    for n in range(4, min(budget, _TREE_CAP) + 1, 2):
+        half = n // 2
         for idx, t in enumerate(_all_trees(n)):
             instance, predicted = f"reverse tree{n}#{idx}", "pendant-path family or K1,3"
-            value = _guarded("T-half", instance, rule.value, predicted, lambda t=t: _gt2(t, rule, conv))
-            if isinstance(value, ClaimRow):
-                rows.append(value)
+            attains = _guarded("T-half", instance, rule.value, predicted, lambda t=t: (
+                _set_of_at_most(t, variant, half - 1) is None and _set_of_at_most(t, variant, half) is not None))
+            if isinstance(attains, ClaimRow):
+                rows.append(attains)
                 continue
-            if value is None or 2 * value != n:
+            if not attains:
                 continue
             code = _tree_code(t)
             member = code in _pendant_family_codes(n) or code == _tree_code(star(3))
@@ -1030,12 +1037,20 @@ def run_claims(
     budget: int = 12,
     conv: Conventions = DEFAULT_CONVENTIONS,
 ) -> VerificationReport:
-    """Evaluate every registered claim whose id matches the glob pattern."""
+    """Evaluate every registered claim whose id matches the glob pattern.
+
+    Each graph is solved at most once per variant in one run: the solvers
+    share a table of results (``domination._solved_once``) that lives only
+    for the length of the call.
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     if budget > WORD_BITS:
         raise CapacityError(f"budget {budget} is above the word budget of {WORD_BITS} vertices")
     selected = [c for cid, c in REGISTRY.items() if fnmatch(cid, pattern)]
     rows: list[ClaimRow] = []
-    for claim in selected:
-        for rule in WitnessRule:
-            rows.extend(claim.builder(budget, rule, conv))
+    with _solved_once():
+        for claim in selected:
+            for rule in WitnessRule:
+                rows.extend(claim.builder(budget, rule, conv))
     return VerificationReport(rows, [c.id for c in selected], pattern, budget, conv)

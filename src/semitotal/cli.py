@@ -262,6 +262,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
+        if args.budget < 0:  # run_claims raises a bare ValueError, which is no computation error
+            raise _UsageError(f"budget must be at least 0, got {args.budget}")
         report = run_claims(args.claims, args.budget, _conv_of(args))
         if not report.claim_order:
             raise _UsageError(f"no claim id matches {args.claims!r}")

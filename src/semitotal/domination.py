@@ -11,6 +11,8 @@ families; every caller must say which one it means.
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
@@ -205,6 +207,32 @@ def brute_force_number(
     return None if first is None else first.bit_count()
 
 
+# Results solved during one claim-harness run: (number, optimal set) by
+# (adjacency, variant), raw, with no convention applied.  The set is None
+# when no valid set exists or none has been searched for yet (the number
+# came from ``_least_size``).  ``_solved_once`` installs a table for the
+# length of one run; outside it there is none and nothing is stored.
+_solved: ContextVar[dict[tuple[tuple[int, ...], Variant], tuple[int | None, int | None]] | None] = \
+    ContextVar("_solved", default=None)
+
+
+@contextmanager
+def _solved_once() -> Iterator[None]:
+    """Solve each (graph, variant) at most once inside the block, in this thread."""
+    token = _solved.set({})
+    try:
+        yield
+    finally:
+        _solved.reset(token)
+
+
+def _stored(adj: tuple[int, ...], variant: Variant) -> tuple[int | None, int | None] | None:
+    """The (number, set) the run's table holds for the graph with adjacency
+    ``adj``, or None when it holds none or there is no table."""
+    table = _solved.get()
+    return None if table is None else table.get((adj, variant))
+
+
 def domination_number(
     g: Graph,
     variant: Variant,
@@ -219,21 +247,36 @@ def domination_number(
     (2^n > ``_MAX_NUMBER_STATES`` * n, from 17 vertices), the number comes
     from that dynamic program instead, which refutes nothing.  When the
     program passes its state cap, the deepening continues from the next
-    level.  Returns None when no valid set exists.
+    level.  Returns None when no valid set exists.  Inside ``_solved_once``
+    the raw number (and the set, when one was found) is looked up in and
+    stored to the run's table after the convention gate.
     """
     if _gate_applies(g, variant, conv):
         return 1
     _validate(g, variant)
+    table = _solved.get()
+    if table is None:
+        return _solve(g, variant)[0]
+    key = (g.adj, variant)
+    if key not in table:
+        table[key] = _solve(g, variant)
+    return table[key][0]
+
+
+def _solve(g: Graph, variant: Variant) -> tuple[int | None, int | None]:
+    """The number by the strategy of ``domination_number``, with the optimal
+    set the deepening found, or None when the number came from ``_least_size``."""
     levels = _levels(g, variant)
     first = next(levels, 0)  # a valid set is never empty, so 0 means none exists
     if first is not None:
-        return first.bit_count() or None
+        return (first.bit_count(), first) if first else (None, None)
     if 1 << g.n > _MAX_NUMBER_STATES * g.n:
         try:
-            return _least_size(g, variant)
+            return _least_size(g, variant), None
         except BudgetExceededError:
             pass
-    return next(filter(None, levels)).bit_count()
+    best = next(filter(None, levels))
+    return best.bit_count(), best
 
 
 def _packing(reqs: list[int]) -> int:
@@ -266,19 +309,41 @@ def _counting_bound(g: Graph, variant: Variant) -> Callable[[int], int]:
     return lambda uncovered: -(-uncovered // reach)
 
 
-def _minimum_set(g: Graph, variant: Variant) -> int | None:
+def _minimum_set(g: Graph, variant: Variant, number: int | None = None) -> int | None:
     """An optimal valid set as a mask, from the deepening of ``_levels``.
 
     Deterministic.  Returns None when no valid set exists.  Applies no
-    convention and assumes ``_validate`` passed.
+    convention and assumes ``_validate`` passed.  Given the graph's
+    ``number``, or finding it in the table of ``_solved_once``, the deepening
+    searches only that level, which is the call the full deepening ends
+    with, so the set is the same.  Inside ``_solved_once`` the set is looked
+    up in and stored to the run's table.
     """
-    return next(filter(None, _levels(g, variant)), None)
+    table = _solved.get()
+    key = (g.adj, variant)
+    if table is not None and key in table:
+        number, best = table[key]
+        if best is not None or number is None:
+            return best
+    best = next(filter(None, _levels(g, variant, number)), None)
+    if table is not None:
+        table[key] = (None if best is None else best.bit_count()), best
+    return best
 
 
-def _levels(g: Graph, variant: Variant) -> Iterator[int | None]:
+def _set_of_at_most(g: Graph, variant: Variant, k: int) -> int | None:
+    """A valid set of at most ``k`` members as a mask, or None when there is
+    none: one level of ``_levels``.  Applies no convention and assumes
+    ``_validate`` passed."""
+    return next(_levels(g, variant, k), None)
+
+
+def _levels(g: Graph, variant: Variant, start: int | None = None) -> Iterator[int | None]:
     """The levels of an iterative-deepening branch and bound, one per item:
     None for a level with no valid set, then the first set found, as a mask.
-    Yields nothing when no valid set exists.
+    Yields nothing when no valid set exists.  The deepening begins at the
+    root bound, or at level ``start`` when one is given, so that the first
+    item tells whether a valid set of at most ``start`` members exists.
 
     A search node lists its open requirements: each uncovered vertex, whose
     candidates are the free (allowed, unchosen, unbanned) vertices covering
@@ -324,7 +389,7 @@ def _levels(g: Graph, variant: Variant) -> Iterator[int | None]:
     if not reqs[0]:
         return
     need = _counting_bound(g, variant)
-    k = max(_packing(reqs), need(n), 1 if witness is None else 2)
+    k = max(_packing(reqs), need(n), 1 if witness is None else 2) if start is None else start
     while (found := search(0, 0, allowed, reqs, k)) is None:
         yield None
         k += 1

@@ -15,6 +15,7 @@ from .domination import (
     _gate_applies,
     _minimum_set,
     _packing,
+    _stored,
     domination_number,
     semitotal,
 )
@@ -86,9 +87,10 @@ def _stability_search(
     adj, closed, full = g.adj, g.closed, g.full_mask
     exact = rule is WitnessRule.EXACTLY_TWO
     # Valid sets of size base, in original indices: the optimum of g, then of
-    # every solved residue whose value is base.  There are none when base is
-    # None or the gate's 1, and then every residue is solved.
-    pool = [] if base is None or _gate_applies(g, variant, conv) else [_minimum_set(g, variant)]
+    # every residue solved or found in the run's table with the value base.
+    # There are none when base is None or the gate's 1, and then every
+    # residue is solved.
+    pool = [] if base is None or _gate_applies(g, variant, conv) else [_minimum_set(g, variant, base)]
 
     def still_valid(members: int, removed: int) -> bool:
         """True iff ``members`` (disjoint from ``removed``) is valid in g - removed."""
@@ -114,27 +116,32 @@ def _stability_search(
         a pool set still valid there gives at most base, a packing at least base."""
         if not pool:
             return False
-        last = len(key) - 1
-        if conv.complete_singleton and all(r.bit_count() == last for r in key):
-            return False  # gated: the complete residue has value 1
         # pairwise disjoint closed neighbourhoods each need their own member,
         # and a semitotal set has at least two
         if base > 2 and _packing(sorted([r | 1 << i for i, r in enumerate(key)], key=int.bit_count)) < base:
             return False
         return any(not members & removed and still_valid(members, removed) for members in reversed(pool))
 
-    def solve(removed: int) -> int | None:
-        residue, old_to_new = g.delete_vertices(removed)
-        if _gate_applies(residue, variant, conv):
+    def value_of(removed: int, key: tuple[int, ...]) -> int | None:
+        """The residue's value: from the convention gate when it is complete,
+        from the run's table (see ``_solved_once``) when that holds it, from
+        the screen when it certifies base, and only then from its graph."""
+        last = len(key) - 1
+        if conv.complete_singleton and all(r.bit_count() == last for r in key):
             return 1
-        best = _minimum_set(residue, variant)
-        if best is None:
-            return None
-        if best.bit_count() == base:
-            pool.append(mask_from(old for old, new in old_to_new.items() if best >> new & 1))
-        return best.bit_count()
+        stored = _stored(key, variant)
+        if stored is None:
+            if unchanged(removed, key):
+                return base
+            best = _minimum_set(g.delete_vertices(removed)[0], variant)
+            stored = (None if best is None else best.bit_count()), best
+        number, best = stored
+        if best is not None and number == base:
+            # residue index i is the i-th vertex left after the removal
+            pool.append(mask_from(v for i, v in enumerate(iter_bits(full & ~removed)) if best >> i & 1))
+        return number
 
-    # Residue values by residue key; only a residue the screen cannot settle is built.
+    # Residue values by residue key; only a residue that neither the table nor the screen settles is built.
     cache: dict[tuple[int, ...], int | None] = {}
     prev = _lower_twins(g.adj)
     scanned = 0
@@ -148,7 +155,7 @@ def _stability_search(
             elif key in cache:
                 value = cache[key]
             else:
-                value = cache[key] = base if unchanged(removed, key) else solve(removed)
+                value = cache[key] = value_of(removed, key)
             if out_of_domain if value is None else value != base:
                 return k, removed
     return None

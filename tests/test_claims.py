@@ -1,9 +1,11 @@
+import contextlib
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import networkx as nx
@@ -28,8 +30,9 @@ from semitotal import (
     path,
     run_claims,
 )
-from semitotal import claims
+from semitotal import claims, is_semitotal, semitotal
 from semitotal.claims import _all_trees, _isomorphic, _tree_code
+from semitotal.domination import _set_of_at_most, _solved, _solved_once
 from semitotal.cli import cli
 
 from conftest import relabeled, to_nx
@@ -271,6 +274,9 @@ def test_typed_error_becomes_undefined_row(monkeypatch, fresh_half_rows, oracle,
 
     budget, site = FORMERLY_UNGUARDED.get(pattern, (7, None))
     monkeypatch.setattr(f"semitotal.claims.{oracle}", over_budget)
+    if pattern == "T-half":
+        # the reverse sweep asks for sets of at most n/2 - 1 and n/2 members, not the number
+        monkeypatch.setattr("semitotal.claims._set_of_at_most", over_budget)
     report = run_claims(pattern, budget=budget)
     computed = [r for r in report.rows if r.oracle != "skipped"]
     assert computed
@@ -398,3 +404,77 @@ def test_isomorphic_by_permutation():
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert not _isomorphic(cycle(6), two_triangles)
     assert _isomorphic(cycle(6), relabeled(cycle(6), [3, 1, 5, 0, 2, 4]))
+
+
+@pytest.mark.parametrize("budget", [12, 14])
+@pytest.mark.parametrize("singleton", [True, False])
+def test_run_table_leaves_the_report_unchanged(monkeypatch, fresh_half_rows, budget, singleton):
+    conv = Conventions(singleton)
+    shared = run_claims("*", budget, conv).to_json()
+    claims._half_rows.cache_clear()
+    monkeypatch.setattr(claims, "_solved_once", contextlib.nullcontext)
+    assert run_claims("*", budget, conv).to_json() == shared
+
+
+def test_run_table_lives_only_inside_the_run(monkeypatch):
+    seen = []
+    builder = claims.REGISTRY["T1.i"].builder
+
+    def spy(*args):
+        seen.append(_solved.get())
+        return builder(*args)
+
+    monkeypatch.setitem(claims.REGISTRY, "T1.i", claims.Claim("T1.i", "spy", spy))
+    run_claims("T1.i", 6)
+    assert seen[0] is seen[1] and seen[0]  # one table, shared by both rules, and used
+    assert _solved.get() is None
+
+    def broken(*args):
+        assert _solved.get() is not None
+        raise TypeError("broken builder")
+
+    monkeypatch.setitem(claims.REGISTRY, "T1.i", claims.Claim("T1.i", "broken", broken))
+    with pytest.raises(TypeError, match="broken builder"):
+        run_claims("T1.i", 6)
+    assert _solved.get() is None
+
+
+def test_run_table_is_per_thread():
+    inside, outside = threading.Event(), threading.Event()
+    seen = {}
+
+    def other():
+        inside.wait()
+        seen["other"] = _solved.get()
+        domination_number(path(5), SEMITOTAL_WITHIN)
+        outside.set()
+
+    worker = threading.Thread(target=other)
+    worker.start()
+    with _solved_once():
+        domination_number(path(4), SEMITOTAL_WITHIN)
+        inside.set()
+        outside.wait()
+        table = _solved.get()
+    worker.join()
+    assert seen["other"] is None
+    assert list(table) == [(path(4).adj, SEMITOTAL_WITHIN)]
+
+
+def test_half_decision_matches_the_number_on_small_trees():
+    # T-half's reverse sweep asks for sets of at most n/2 - 1 and n/2 members
+    # in place of the number; it must attain n/2 exactly when the number does.
+    for t in _trees_up_to(10):
+        if t.n < 4:
+            continue
+        for rule in WitnessRule:
+            variant = semitotal(rule)
+            value = domination_number(t, variant, claims._BARE)
+            found = {k: _set_of_at_most(t, variant, k) for k in range(1, t.n + 1)}
+            for k, members in found.items():
+                assert (members is not None) == (value is not None and value <= k), (t.edges(), k)
+                assert members is None or (members.bit_count() <= k and is_semitotal(t, members, rule))
+            if t.n % 2 == 0:
+                half = t.n // 2
+                attains = found[half - 1] is None and found[half] is not None
+                assert attains == (value is not None and 2 * value == t.n), t.edges()

@@ -12,6 +12,7 @@ from semitotal import (
     GraphFormat,
     cycle,
     emit_graph,
+    run_claims,
     wheel,
 )
 
@@ -85,6 +86,20 @@ def test_verify_budget_above_word_size_fails_before_any_claim(capsys):
     assert out == ""
     assert "computation error" in err
     assert "word budget of 64" in err
+
+
+def test_verify_negative_budget_fails_before_any_claim(capsys, monkeypatch):
+    # a negative budget once gave 174 T2.2.i rows and no instances for every other claim
+    def no_claims(*args, **kwargs):
+        raise AssertionError("a claim ran")
+
+    monkeypatch.setattr("semitotal.claims._solved_once", no_claims)
+    with pytest.raises(ValueError, match="budget must be at least 0, got -5"):
+        run_claims("*", -5)
+    code, out, err = run(capsys, "verify", "--budget", "-5")
+    assert code != 0
+    assert out == ""
+    assert "budget must be at least 0, got -5" in err
 
 
 def test_count_table_too_large_fails_fast(capsys):

@@ -6,6 +6,7 @@ from functools import reduce
 from itertools import combinations, islice
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -52,6 +53,7 @@ from semitotal.domination import (
     _is_valid,
     _least_size,
     _minimum_set,
+    _solved_once,
     _valid_sets,
 )
 
@@ -275,6 +277,29 @@ def test_minimum_set_is_valid_and_optimal_random(g):
             else:
                 assert best is not None and _is_valid(g, variant, best), (g.edges(), variant)
                 assert best.bit_count() == expected, (g.edges(), variant)
+
+
+@given(graphs(min_n=1, max_n=9))
+@settings(max_examples=100, deadline=None)
+def test_minimum_set_is_the_same_from_a_known_number_and_from_a_run_table(g):
+    # A known number makes the deepening search only that level, the call the
+    # full deepening ends with.  In a run table the number may come without a
+    # set, as from the dynamic program; the set is then searched at that level.
+    for variant in ALL_VARIANTS:
+        if variant is not PLAIN and not g.is_isolate_free():
+            continue
+        best = _minimum_set(g, variant)
+        number = None if best is None else best.bit_count()
+        if number is not None:
+            assert _minimum_set(g, variant, number) == best
+        with _solved_once():
+            for _ in range(2):  # solved, then found in the table
+                assert domination_number(g, variant, OFF) == number
+                assert _minimum_set(g, variant) == best
+        with _solved_once(), mock.patch.object(domination, "_solve", lambda h, v: (number, None)):
+            assert domination_number(g, variant, OFF) == number
+            assert _minimum_set(g, variant) == best
+            assert domination._solved.get()[g.adj, variant] == (number, best)
 
 
 def test_solver_matches_brute_force_sixteen_vertices():

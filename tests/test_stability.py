@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,8 @@ from semitotal import (
     wheel,
 )
 
+from semitotal import domination
+from semitotal.domination import _solved_once
 from semitotal.stability import _lower_twins, _removal_sets
 
 from conftest import graphs, relabeled
@@ -320,6 +323,32 @@ def _agrees_with_reference(g):
             for singleton in (True, False):
                 args = (g, rule, Conventions(singleton), policy)
                 assert _outcome(stability_witness, *args) == _outcome(_reference_search, *args), args[1:4]
+
+
+_SOLVE = domination._solve
+
+
+def _number_only(g, variant):
+    # as when the number comes from the dynamic program, which finds no set
+    return _SOLVE(g, variant)[0], None
+
+
+@given(st.one_of(graphs(min_n=2, max_n=8).map(_without_isolates), blown_up_graphs().filter(lambda g: g.n <= 8)))
+@settings(max_examples=30, deadline=None)
+def test_search_with_a_run_table_matches_reference(g):
+    # One table serves every rule, policy and convention, as in a run; it
+    # holds raw numbers, so the complete-graph gate must come first.
+    combos = [(g, rule, Conventions(singleton), policy)
+              for rule in WitnessRule for policy in RemovalPolicy for singleton in (True, False)]
+    expected = [_outcome(_reference_search, *args) for args in combos]
+    assert [_outcome(stability_witness, *args) for args in combos] == expected
+    with _solved_once():
+        for _ in range(2):  # the second pass finds every solved residue in the table
+            assert [_outcome(stability_witness, *args) for args in combos] == expected
+    with _solved_once(), mock.patch.object(domination, "_solve", _number_only):
+        # the reference stores a number without a set for every residue it solves
+        assert [_outcome(_reference_search, *args) for args in combos] == expected
+        assert [_outcome(stability_witness, *args) for args in combos] == expected
 
 
 def test_screen_leaves_complete_residues_to_the_gate():
