@@ -11,12 +11,13 @@ families; every caller must say which one it means.
 from __future__ import annotations
 
 import enum
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceededError, EmptyGraphError, IsolatesError
 from .graph import Graph, iter_bits, mask_from
@@ -207,18 +208,23 @@ def brute_force_number(
     return None if first is None else first.bit_count()
 
 
-# Results solved during one claim-harness run: (number, optimal set) by
-# (adjacency, variant), raw, with no convention applied.  The set is None
-# when no valid set exists or none has been searched for yet (the number
-# came from ``_least_size``).  ``_solved_once`` installs a table for the
-# length of one run; outside it there is none and nothing is stored.
+# Results solved during one claim-harness run or one stability search:
+# (number, optimal set) by (adjacency, variant), raw, with no convention
+# applied.  The set is None when no valid set exists or none has been
+# searched for yet (the number came from ``_least_size``).  ``_solved_once``
+# installs a table for the length of the outermost such call; outside it
+# there is none and nothing is stored.
 _solved: ContextVar[dict[tuple[tuple[int, ...], Variant], tuple[int | None, int | None]] | None] = \
     ContextVar("_solved", default=None)
 
 
 @contextmanager
 def _solved_once() -> Iterator[None]:
-    """Solve each (graph, variant) at most once inside the block, in this thread."""
+    """Solve each (graph, variant) at most once inside the block, in this
+    thread; a block inside another shares the outer block's table."""
+    if _solved.get() is not None:
+        yield
+        return
     token = _solved.set({})
     try:
         yield
@@ -420,16 +426,20 @@ def minimum_sets(
 
 # -- exact counting ------------------------------------------------------
 
-# The most states the counting table may hold after a vertex step.  A step
-# at most doubles the table, so it never holds more than twice this many.
-# P8xP8 under exact2 peaks at 77,776 states and K13,14 at 8,192; K30,34
-# passes the cap with 18 of its 64 vertices decided.
+# The state caps of ``_frontier``, one per caller.  A step at most doubles
+# the table, so it never holds more than twice its cap.  Counting has no
+# other way to its answer, so its cap is wide: P8xP8 under exact2 peaks at
+# 77,776 states and K13,14 at 8,192, while K30,34 passes the cap with 18 of
+# its 64 vertices decided.
 _MAX_STATES = 1 << 17
 
-# The second, smaller cap, on the table of ``_least_size`` when
-# ``domination_number`` asks it for the number.  A refusal then costs a few
-# milliseconds before the branch and bound takes over: P7xP7 under within2
-# fits, and under exact2 (18,003 states) it stays on the branch and bound.
+# The number has the branch and bound to fall back on, so its cap is narrow:
+# a refusal costs a few milliseconds before the deepening takes over.  P7xP7
+# under within2 fits, and under exact2 (18,003 states) it stays on the
+# branch and bound, which is faster there.  With the counting cap for both,
+# the exact2 grids P6xP6 and P7xP7 finish the program instead, and the
+# ``solve`` workload took 0.343 s in place of 0.266 s (+29 %; 2 cores,
+# Python 3.11).
 _MAX_NUMBER_STATES = 1 << 12
 
 
@@ -451,18 +461,30 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def _clauses(g: Graph, variant: Variant) -> tuple[list[int], Sequence[int], Sequence[int], list[int]]:
-    """The clause encoding of the frontier dynamic programs, as ``(order,
-    met_in, met_out, closing)``.
+def _frontier(g: Graph, variant: Variant, lane: int, merge: Callable[[int, int], int], cap: int) -> int:
+    """The valid sets by size, from a dynamic program over the vertices.
 
     Every requirement is a clause.  Cover clause u (bit u) asks for a member
     in ``cover[u]``.  Under semitotal, witness clause v (bit n + v) asks that
     v be no member or that some vertex of ``witness[v]`` be one.  Both
     relations are symmetric, so a member v meets the clauses in ``met_in[v]
     = cover[v] | witness[v] << n``, and an outsider v meets ``met_out[v]``,
-    its own witness clause.  Vertices are decided in ``order``, the
-    ``_bfs_order``; ``closing[i]`` holds the clauses whose last vertex is
-    ``order[i]``.
+    its own witness clause.  Vertices are decided in ``_bfs_order``, and a
+    state is the set of clauses the decided vertices meet.  A clause not met
+    when its last vertex is decided (``closing``) can no longer be met, so
+    the state is dropped there.  Every kept state thus holds all closed
+    clauses and none that no decided vertex touches, so states differ only
+    in the open clauses: the table follows the frontier width of the order,
+    not 2^n.
+
+    A state's value stands for the partial sets that reach it, by size, in
+    lanes of ``lane`` bits: adding v to the sets shifts it by one lane, and
+    two partial sets that reach one state merge by ``merge``.  With lanes of
+    n + 1 bits and addition, lane k counts the sets of size k; with one-bit
+    lanes and or, bit k says that some set of size k exists.  Returns the
+    value of the one state left at the end, with every clause met, or 0 when
+    none is left.  Raises ``BudgetExceededError`` once a step leaves more
+    than ``cap`` states.
     """
     n = g.n
     cover = _cover_masks(g, variant)
@@ -478,77 +500,31 @@ def _clauses(g: Graph, variant: Variant) -> tuple[list[int], Sequence[int], Sequ
         closing.append((met_in[v] | met_out[v]) & ~seen)
         seen |= met_in[v] | met_out[v]
     closing.reverse()
-    return order, met_in, met_out, closing
-
-
-def _count_valid(g: Graph, variant: Variant) -> list[int]:
-    """Number of valid sets of each size, by a dynamic program over the vertices.
-
-    Vertices are decided in the order of ``_clauses``, and a state is the
-    set of clauses the decided vertices meet.  A clause not met when its
-    last vertex is decided can no longer be met, so the state is dropped
-    there.  Every kept state thus holds all closed clauses and none that no
-    decided vertex touches, so states differ only in the open clauses: the
-    table follows the frontier width of the order, not 2^n.  A state carries
-    its number of partial sets of each size, packed into one int with size
-    k in lane k of n + 1 bits, so adding v to the sets is a shift by one
-    lane and two states merge by one addition.  At the end at most one
-    state, with every clause met, is left.  Raises ``BudgetExceededError``
-    once a step leaves more than ``_MAX_STATES`` states.
-    """
-    n = g.n
-    order, met_in, met_out, closing = _clauses(g, variant)
-    lane = n + 1
     table = {0: 1}
     for decided, (v, last) in enumerate(zip(order, closing), 1):
         out, member = met_out[v], met_in[v]
         nxt: dict[int, int] = {}
-        for state, counts in table.items():
+        for state, value in table.items():
             key = state | out
             if key & last == last:
-                if key in nxt:
-                    nxt[key] += counts
-                else:
-                    nxt[key] = counts
+                nxt[key] = merge(nxt[key], value) if key in nxt else value
             key = state | member
             if key & last == last:
-                if key in nxt:
-                    nxt[key] += counts << lane
-                else:
-                    nxt[key] = counts << lane
-        if len(nxt) > _MAX_STATES:
-            raise BudgetExceededError(f"counting needs more than {_MAX_STATES} states "
+                value <<= lane
+                nxt[key] = merge(nxt[key], value) if key in nxt else value
+        if len(nxt) > cap:
+            raise BudgetExceededError(f"counting needs more than {cap} states "
                                       f"with {decided} of {n} vertices decided")
         table = nxt
-    packed = sum(table.values())
-    return [packed >> k * lane & (1 << lane) - 1 for k in range(n + 1)]
+    return next(iter(table.values()), 0)
 
 
 def _least_size(g: Graph, variant: Variant) -> int | None:
-    """Least size of a valid set, by the dynamic program of ``_count_valid``
-    with min in place of counting: a state keeps the least number of members
-    that reach it.  Returns None when no valid set exists.  Applies no
-    convention.  Raises ``BudgetExceededError`` once a step leaves more than
-    ``_MAX_NUMBER_STATES`` states.
-    """
-    n = g.n
-    order, met_in, met_out, closing = _clauses(g, variant)
-    table = {0: 0}
-    for decided, (v, last) in enumerate(zip(order, closing), 1):
-        out, member = met_out[v], met_in[v]
-        nxt: dict[int, int] = {}
-        for state, size in table.items():
-            key = state | out
-            if key & last == last and nxt.get(key, n + 1) > size:
-                nxt[key] = size
-            key = state | member
-            if key & last == last and nxt.get(key, n + 1) > size + 1:
-                nxt[key] = size + 1
-        if len(nxt) > _MAX_NUMBER_STATES:
-            raise BudgetExceededError(f"the number needs more than {_MAX_NUMBER_STATES} states "
-                                      f"with {decided} of {n} vertices decided")
-        table = nxt
-    return min(table.values(), default=None)
+    """Least size of a valid set, the lowest bit of ``_frontier`` over or,
+    under the cap ``_MAX_NUMBER_STATES``.  Returns None when no valid set
+    exists.  Applies no convention."""
+    sizes = _frontier(g, variant, 1, operator.or_, _MAX_NUMBER_STATES)
+    return (sizes & -sizes).bit_length() - 1 if sizes else None
 
 
 def count_by_size(
@@ -556,20 +532,24 @@ def count_by_size(
     variant: Variant,
     conv: Conventions = DEFAULT_CONVENTIONS,
 ) -> CountPolynomial:
-    """Number of valid sets of every cardinality, by ``_count_valid``.
+    """Number of valid sets of every cardinality, by ``_frontier`` over addition.
 
     Exact: the dynamic program counts every subset once, by the clauses
     alone; no closed form is ever consulted, so the result can serve as the
-    oracle for the counting claims.  The complete-graph convention adds the
-    singletons as valid sets.  No vertex budget applies: the table follows the
-    frontier width of the vertex order, so paths, cycles and narrow grids
-    count up to 64 vertices, and a graph whose table would pass
-    ``_MAX_STATES`` states is refused with ``BudgetExceededError`` instead.
+    oracle for the counting claims.  The count of size k is lane k of the
+    program's value, in lanes of n + 1 bits, wide enough for any count up to
+    2^n.  The complete-graph convention adds the singletons as valid sets.
+    No vertex budget applies: the table follows the frontier width of the
+    vertex order, so paths, cycles and narrow grids count up to 64 vertices,
+    and a graph whose table would pass ``_MAX_STATES`` states is refused with
+    ``BudgetExceededError`` instead.
     """
     gated = _gate_applies(g, variant, conv)
     if not gated:
         _validate(g, variant)
-    coeffs = _count_valid(g, variant)
+    lane = g.n + 1
+    packed = _frontier(g, variant, lane, operator.add, _MAX_STATES)
+    coeffs = [packed >> k * lane & (1 << lane) - 1 for k in range(g.n + 1)]
     if gated:
         coeffs[1] += g.n
     return CountPolynomial(coeffs)

@@ -15,6 +15,7 @@ from .domination import (
     _gate_applies,
     _minimum_set,
     _packing,
+    _solved_once,
     _stored,
     domination_number,
     semitotal,
@@ -71,6 +72,7 @@ def _removal_sets(
             yield from _removal_sets(child, prev, k, mask, depth + 1, p)
 
 
+@_solved_once()  # the base graph's set, stored by domination_number, seeds the pool
 def _stability_search(
     g: Graph,
     rule: WitnessRule,

@@ -291,6 +291,22 @@ def test_typed_error_becomes_undefined_row(monkeypatch, fresh_half_rows, oracle,
         assert row.note == "statement value; BudgetExceededError: too large"
 
 
+def test_refused_count_row_keeps_the_whole_refusal_text(monkeypatch):
+    # The note of a refused counting row is part of a large-budget report's
+    # bytes, so the refusal text is pinned whole.
+    monkeypatch.setattr("semitotal.domination._MAX_STATES", 16)
+    refused = [(r.instance, r.rule, r.oracle, r.note)
+               for r in run_claims("C-COUNT-Kmn-large", 12).rows if r.verdict == "UNDEFINED"]
+    steps = [("K5,5", "within2", 5, 10), ("K5,6", "within2", 5, 11), ("K5,7", "within2", 5, 12),
+             ("K6,6", "within2", 5, 12), ("K4,5", "exact2", 8, 9), ("K4,6", "exact2", 8, 10),
+             ("K4,7", "exact2", 8, 11), ("K4,8", "exact2", 8, 12), ("K5,5", "exact2", 5, 10),
+             ("K5,6", "exact2", 5, 11), ("K5,7", "exact2", 5, 12), ("K6,6", "exact2", 5, 12)]
+    assert refused == [
+        (instance, rule, "error",
+         f"BudgetExceededError: counting needs more than 16 states with {decided} of {n} vertices decided")
+        for instance, rule, decided, n in steps]
+
+
 def test_halfgraph_rows_build_no_trees(monkeypatch, fresh_half_rows):
     # T-halfgraph's rows come from named graphs only; the tree enumeration
     # belongs to T-half, whose per-claim time must not include it.

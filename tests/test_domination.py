@@ -26,6 +26,7 @@ from semitotal import (
     Variant,
     WitnessRule,
     bits_list,
+    book,
     brute_force_number,
     cartesian,
     complete,
@@ -464,6 +465,31 @@ def test_number_falls_back_to_the_deepening_when_the_dp_refuses(monkeypatch):
             assert domination_number(g, variant) == expected[label][name], (label, name)
             assert len(deepenings) == 1, (label, name)  # one deepening, continued
         assert refused == [g.n], label  # exact2 reached the program and was refused
+
+
+def _refusal(solver, g, variant):
+    try:
+        solver(g, variant)
+    except BudgetExceededError as exc:
+        return str(exc)
+    return None
+
+
+def test_number_and_count_hold_the_same_table(monkeypatch):
+    # The number and the counts run one program over two semirings, so under
+    # one cap they keep the same states and refuse at the same vertex step.
+    graphs = [complete_bipartite(4, 6), friendship(5), wheel(9), book(5),
+              cartesian(path(4), path(5)), cartesian(path(5), path(6))]
+    refusals = []
+    for cap in (8, 64, 512):
+        monkeypatch.setattr(domination, "_MAX_STATES", cap)
+        monkeypatch.setattr(domination, "_MAX_NUMBER_STATES", cap)
+        for g in graphs:
+            for variant in ALL_VARIANTS:
+                counted = _refusal(lambda h, v: count_by_size(h, v, OFF), g, variant)
+                assert _refusal(_least_size, g, variant) == counted, (cap, g.name, variant)
+                refusals.append(counted)
+    assert None in refusals and any(refusals)
 
 
 def test_number_of_wide_graphs_is_fast():

@@ -409,3 +409,29 @@ def test_screen_settles_most_join_residues(monkeypatch):
     monkeypatch.setattr(Graph, "delete_vertices", counted)
     assert stability_witness(join(path(7), path(7)), WITHIN) == (7, 127)
     assert 0 < len(calls) <= 50, len(calls)
+
+
+@pytest.mark.parametrize("search", [stability_witness, semitotal_stability])
+def test_base_graph_is_searched_once(monkeypatch, search):
+    # The base number's level already finds C7's optimal set under exact2;
+    # the pool takes that set from the table instead of searching the level again.
+    calls = []
+    levels = domination._levels
+
+    def counted(g, variant, start=None):
+        calls.append((g.n, start))
+        return levels(g, variant, start)
+
+    monkeypatch.setattr(domination, "_levels", counted)
+    search(cycle(7), EXACT)
+    assert [call for call in calls if call[0] == 7] == [(7, None)]
+    assert domination._solved.get() is None
+
+
+def test_search_fills_an_enclosing_table():
+    # Inside a run's table the search adds to that table rather than to its own.
+    with _solved_once():
+        stability_witness(cycle(7), EXACT)
+        table = domination._solved.get()
+        assert (cycle(7).adj, semitotal(EXACT)) in table
+        assert (path(6).adj, semitotal(EXACT)) in table  # C7 less one vertex
