@@ -54,14 +54,13 @@ from .polynomial import CountPolynomial, closed_form
 from .stability import RemovalPolicy, semitotal_stability, stability_witness
 from .claims import (
     Claim,
-    ClaimRow,
     REGISTRY,
-    VerificationReport,
     claim_ids,
     corona_bound_check,
     half_order_characterization_check,
     run_claims,
 )
+from .report import ClaimRow, VerificationReport
 from .graphio import GraphFormat, emit_graph, parse_graph
 
 __all__ = [

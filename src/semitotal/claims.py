@@ -10,9 +10,6 @@ claim holds under exactly one of them.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from functools import lru_cache
@@ -50,6 +47,7 @@ from .families import (
 from .graph import Graph, WORD_BITS, bits_list, iter_bits
 from .polynomial import CountPolynomial, closed_form
 from .products import cartesian, corona, join, rooted_product
+from .report import ClaimRow, VerificationReport
 from .stability import RemovalPolicy, stability_witness
 
 _BARE = Conventions(complete_singleton=False)
@@ -78,26 +76,6 @@ def _show(value) -> str:
     if isinstance(value, CountPolynomial):
         return value.format()
     return str(value)
-
-
-@dataclass(frozen=True)
-class ClaimRow:
-    """One (claim, instance, rule) comparison."""
-
-    claim: str
-    instance: str
-    rule: str
-    predicted: str
-    oracle: str
-    verdict: str  # PASS | FAIL | N/A | UNDEFINED
-    note: str = ""
-    details: tuple[tuple[str, str], ...] = ()
-
-    def detail(self, key: str) -> str | None:
-        for k, v in self.details:
-            if k == key:
-                return v
-        return None
 
 
 @dataclass(frozen=True)
@@ -923,113 +901,6 @@ REGISTRY: dict[str, Claim] = {
 
 def claim_ids() -> list[str]:
     return list(REGISTRY)
-
-
-class VerificationReport:
-    """Ordered comparison rows plus per-claim summaries."""
-
-    def __init__(
-        self,
-        rows: list[ClaimRow],
-        claim_order: list[str],
-        pattern: str,
-        budget: int,
-        conv: Conventions,
-    ):
-        self.rows = list(rows)
-        self.claim_order = list(claim_order)
-        self.pattern = pattern
-        self.budget = budget
-        self.conventions = conv
-
-    def rows_for(self, claim: str) -> list[ClaimRow]:
-        return [r for r in self.rows if r.claim == claim]
-
-    def summary(self) -> dict[str, dict]:
-        out: dict[str, dict] = {}
-        for cid in self.claim_order:
-            rows = self.rows_for(cid)
-            rules = sorted({r.rule for r in rows})
-            per_rule = {}
-            for rule in rules:
-                sub = [r for r in rows if r.rule == rule]
-                per_rule[rule] = {
-                    "pass": sum(r.verdict == "PASS" for r in sub),
-                    "fail": sum(r.verdict == "FAIL" for r in sub),
-                    "na": sum(r.verdict == "N/A" for r in sub),
-                    "undefined": sum(r.verdict == "UNDEFINED" for r in sub),
-                }
-            clean = [rule for rule, c in per_rule.items() if c["fail"] == 0 and c["pass"] > 0]
-            passing_rule = None
-            if len(per_rule) > 1 and len(clean) == 1:
-                passing_rule = clean[0]
-            out[cid] = {
-                "instances": len(rows),
-                "rules": per_rule,
-                "passing_rule": passing_rule,
-                "status": "N/A" if not rows else ("PASS" if all(
-                    r.verdict in ("PASS", "N/A") for r in rows) else "HAS-FINDINGS"),
-            }
-        return out
-
-    def to_json(self) -> str:
-        payload = {
-            "pattern": self.pattern,
-            "budget": self.budget,
-            "conventions": {"complete_singleton": self.conventions.complete_singleton},
-            "report": [
-                {
-                    "claim": r.claim,
-                    "instance": r.instance,
-                    "rule": r.rule,
-                    "predicted": r.predicted,
-                    "oracle": r.oracle,
-                    "verdict": r.verdict,
-                    "note": r.note,
-                    "details": dict(r.details),
-                }
-                for r in self.rows
-            ],
-            "summary": self.summary(),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["claim", "instance", "rule", "predicted", "oracle", "verdict", "note"])
-        for r in self.rows:
-            note = r.note
-            if r.details:
-                extra = "; ".join(f"{k}={v}" for k, v in r.details)
-                note = f"{note}; {extra}" if note else extra
-            writer.writerow([r.claim, r.instance, r.rule, r.predicted, r.oracle, r.verdict, note])
-        return buf.getvalue()
-
-    def to_table(self) -> str:
-        lines = [f"claims matching {self.pattern!r}, budget {self.budget}"]
-        summary = self.summary()
-        header = f"{'claim':<20} {'rule':<8} {'pass':>5} {'fail':>5} {'n/a':>5} {'undef':>5}"
-        lines.append(header)
-        lines.append("-" * len(header))
-        for cid in self.claim_order:
-            info = summary[cid]
-            if not info["rules"]:
-                lines.append(f"{cid:<20} {'-':<8} {'-':>5} {'-':>5} {'-':>5} {'-':>5}  (no instances within budget)")
-                continue
-            for rule, c in info["rules"].items():
-                lines.append(
-                    f"{cid:<20} {rule:<8} {c['pass']:>5} {c['fail']:>5} {c['na']:>5} {c['undefined']:>5}"
-                )
-            if info["passing_rule"]:
-                lines.append(f"{'':<20} passes only under rule {info['passing_rule']}")
-        findings = [r for r in self.rows if r.verdict == "FAIL"]
-        if findings:
-            lines.append("")
-            lines.append(f"findings ({len(findings)} rows where the formula disagrees with the oracle):")
-            for r in findings:
-                lines.append(f"  {r.claim} | {r.instance} | {r.rule}: predicted {r.predicted}, oracle {r.oracle}")
-        return "\n".join(lines) + "\n"
 
 
 def run_claims(

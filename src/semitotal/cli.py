@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .claims import run_claims
@@ -268,18 +269,28 @@ def _dispatch(args: argparse.Namespace) -> int:
         if not report.claim_order:
             raise _UsageError(f"no claim id matches {args.claims!r}")
         if args.out == "json":
-            print(report.to_json())
+            report.to_json(sys.stdout)
+            sys.stdout.write("\n")
         elif args.out == "csv":
-            sys.stdout.write(report.to_csv())
+            report.to_csv(sys.stdout)
         else:
-            sys.stdout.write(report.to_table())
+            report.to_table(sys.stdout)
         return 0
 
     raise _UsageError(f"unknown subcommand {args.command!r}")
 
 
 def main() -> None:
-    sys.exit(cli())
+    try:
+        code = cli()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader went away, as `| head` does. Point stdout at devnull so
+        # that the flush at exit does not raise again, and exit 141 (128 +
+        # SIGPIPE), as a shell reports a writer killed by that signal.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -31,6 +33,7 @@ from semitotal import (
     run_claims,
 )
 from semitotal import claims, is_semitotal, semitotal
+from semitotal import report as report_module
 from semitotal.claims import _all_trees, _isomorphic, _tree_code
 from semitotal.domination import _set_of_at_most, _solved, _solved_once
 from semitotal.cli import cli
@@ -365,6 +368,86 @@ def test_verify_b12_writers_are_byte_stable(capsys, flags, digest):
     # The same pin for the conventions-off path and the CSV and table writers.
     assert cli(["verify", "--claims", "*", "--budget", "12", *flags]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# The same pin at B = 14, the benchmark's budget.
+B14_JSON_SHA256 = "18f177647232eff70b937d2c1bdc2d58e3fdba27aee598e032d23c3bca180ce6"
+
+
+def test_verify_b14_output_is_byte_stable(capsys):
+    assert cli(["verify", "--claims", "*", "--budget", "14", "--out", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == B14_JSON_SHA256
+
+
+def _dumps_whole_payload(report):
+    """The JSON report as one ``json.dumps`` of a payload holding every row."""
+    payload = {
+        "pattern": report.pattern,
+        "budget": report.budget,
+        "conventions": {"complete_singleton": report.conventions.complete_singleton},
+        "report": [
+            {
+                "claim": r.claim,
+                "instance": r.instance,
+                "rule": r.rule,
+                "predicted": r.predicted,
+                "oracle": r.oracle,
+                "verdict": r.verdict,
+                "note": r.note,
+                "details": dict(r.details),
+            }
+            for r in report.rows
+        ],
+        "summary": report.summary(),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("pattern", ["no-such-claim-*", "T1.i", "*"])
+def test_json_writer_matches_one_dumps_of_the_whole_payload(pattern):
+    report = run_claims(pattern, budget=10)
+    if pattern == "*":  # several slices, and rows with details among them
+        assert len(report.rows) > 2 * report_module._ROWS_PER_SLICE
+        assert any(r.details for r in report.rows)
+    assert report.to_json() == _dumps_whole_payload(report)
+
+
+@pytest.mark.parametrize("rows_per_slice", [1, 2, 7])
+def test_json_writer_does_not_depend_on_the_slice_size(monkeypatch, rows_per_slice):
+    report = run_claims("T1.*", budget=8)
+    monkeypatch.setattr(report_module, "_ROWS_PER_SLICE", rows_per_slice)
+    assert report.to_json() == _dumps_whole_payload(report)
+
+
+@pytest.mark.parametrize("writer", ["to_json", "to_csv", "to_table"])
+def test_writer_puts_on_a_stream_the_text_it_returns(writer):
+    report = run_claims("*", budget=8)
+    assert any(r.verdict == "FAIL" for r in report.rows)  # the table's findings block
+    out = io.StringIO()
+    assert getattr(report, writer)(out) is None
+    assert out.getvalue() == getattr(report, writer)()
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def _traced_peak_of_writing(report):
+    tracemalloc.start()
+    try:
+        report.to_json(_Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_the_json_report_takes_memory_bounded_by_a_slice():
+    small, large = run_claims("*", budget=12), run_claims("*", budget=16)
+    assert len(large.rows) > 1.5 * len(small.rows)  # 3,184 rows against 1,910
+    small_peak, large_peak = _traced_peak_of_writing(small), _traced_peak_of_writing(large)
+    assert large_peak <= 1.25 * small_peak, (small_peak, large_peak)
+    assert large_peak < 1.5 * 2**20, large_peak
 
 
 def _trees_up_to(n_max):

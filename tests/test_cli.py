@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -375,3 +379,22 @@ def test_cli_fuzzed_graph_files_exit_cleanly(tmp_path_factory, content, fmt, tem
     path.write_bytes(content)
     argv = [arg.format(path) for arg in template] + [fmt]
     assert _exit_code(argv) in (0, 1, 2)
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # The report (about 450 KB) is larger than a pipe's buffer, so the writer
+    # is still writing when the reader closes its end.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "semitotal.cli", "verify", "--budget", "12"],
+                            cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141, err
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err
