@@ -22,7 +22,7 @@ from .domination import (
     PLAIN,
     TOTAL,
     WitnessRule,
-    _set_of_at_most,
+    _levels,
     _solved_once,
     count_by_size,
     domination_number,
@@ -645,14 +645,14 @@ def _tree_half_rows(budget: int, rule: WitnessRule) -> list[ClaimRow]:
         rows.append(_value_row("T-half", f"forward {label}", rule.value, t.n // 2,
                                lambda t=t: _gt2(t, rule, conv)))
     # An odd order is never twice a value, so only even orders give rows.
-    # A tree attains n/2 when it has a set of n/2 members and none of fewer.
+    # A tree attains n/2 when the deepening from level n/2 - 1 finds no set there, then one.
     variant = semitotal(rule)
     for n in range(4, min(budget, _TREE_CAP) + 1, 2):
         half = n // 2
         for idx, t in enumerate(_all_trees(n)):
             instance, predicted = f"reverse tree{n}#{idx}", "pendant-path family or K1,3"
             attains = _guarded("T-half", instance, rule.value, predicted, lambda t=t: (
-                _set_of_at_most(t, variant, half - 1) is None and _set_of_at_most(t, variant, half) is not None))
+                next(levels := _levels(t, variant, half - 1), 0) is None and next(levels) is not None))
             if isinstance(attains, ClaimRow):
                 rows.append(attains)
                 continue

@@ -15,7 +15,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -142,12 +142,12 @@ def _gate_applies(g: Graph, variant: Variant, conv: Conventions) -> bool:
     )
 
 
-def _feasible_members(g: Graph, variant: Variant) -> list[int]:
-    """Vertices that can belong to some valid set (witnessable, for semitotal)."""
+def _allowed(g: Graph, variant: Variant) -> int:
+    """The vertices that can belong to some valid set, as a mask: every
+    vertex, or for semitotal those with a vertex to witness them."""
     if variant.kind != "semitotal":
-        return list(range(g.n))
-    witness = _witness_masks(g, variant.rule)
-    return [v for v in range(g.n) if witness[v]]
+        return g.full_mask
+    return mask_from(compress(range(g.n), _witness_masks(g, variant.rule)))
 
 
 def _is_valid(g: Graph, variant: Variant, members: int) -> bool:
@@ -169,7 +169,7 @@ def _valid_sets(g: Graph, variant: Variant, sizes: Iterable[int]) -> Iterator[in
     """Valid sets over the feasible members, size by size in the given order,
     lexicographic in vertex order within one size.  Refused before a size
     that takes the sets visited past ``_MAX_SETS``."""
-    pool = [1 << v for v in _feasible_members(g, variant)]
+    pool = [1 << v for v in iter_bits(_allowed(g, variant))]
     total = 0
     for k in sizes:
         candidates = comb(len(pool), k)
@@ -309,9 +309,10 @@ def _counting_bound(g: Graph, variant: Variant) -> Callable[[int], int]:
     On P_n and C_n this gives ceil(2n / 5), the semitotal number.
     """
     cover = _cover_masks(g, variant)
-    reach = max(cover[v].bit_count() for v in _feasible_members(g, variant))
     if variant.kind == "semitotal":
+        reach = max(map(int.bit_count, compress(cover, _witness_masks(g, variant.rule))))
         return lambda uncovered: -(-2 * uncovered // (2 * reach - 1))
+    reach = max(map(int.bit_count, cover))
     return lambda uncovered: -(-uncovered // reach)
 
 
@@ -337,13 +338,6 @@ def _minimum_set(g: Graph, variant: Variant, number: int | None = None) -> int |
     return best
 
 
-def _set_of_at_most(g: Graph, variant: Variant, k: int) -> int | None:
-    """A valid set of at most ``k`` members as a mask, or None when there is
-    none: one level of ``_levels``.  Applies no convention and assumes
-    ``_validate`` passed."""
-    return next(_levels(g, variant, k), None)
-
-
 def _levels(g: Graph, variant: Variant, start: int | None = None) -> Iterator[int | None]:
     """The levels of an iterative-deepening branch and bound, one per item:
     None for a level with no valid set, then the first set found, as a mask.
@@ -367,7 +361,7 @@ def _levels(g: Graph, variant: Variant, start: int | None = None) -> Iterator[in
     cover = _cover_masks(g, variant)
     witness = _witness_masks(g, variant.rule) if variant.kind == "semitotal" else None
     n = g.n
-    allowed = mask_from(_feasible_members(g, variant))
+    allowed = _allowed(g, variant)
 
     def search(chosen: int, covered: int, free: int, reqs: list[int], budget: int) -> int | None:
         if not reqs:
@@ -391,7 +385,7 @@ def _levels(g: Graph, variant: Variant, start: int | None = None) -> Iterator[in
     # Otherwise the whole allowed set is valid (each allowed vertex has a
     # witness, which is itself allowed), so the deepening below terminates.
     # A semitotal set has at least two members: a singleton has no witness.
-    reqs = sorted((cover[v] & allowed for v in range(n)), key=int.bit_count)
+    reqs = sorted([row & allowed for row in cover], key=int.bit_count)
     if not reqs[0]:
         return
     need = _counting_bound(g, variant)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, EmptyGraphError, IsolatesError
 from .graph import Graph, iter_bits, mask_from
@@ -43,7 +43,13 @@ def _lower_twins(adj: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _removal_sets(
-    key: tuple[int, ...], prev: tuple[int, ...], k: int, removed: int = 0, depth: int = 0, first: int = 0
+    key: tuple[int, ...],
+    prev: tuple[int, ...],
+    k: int,
+    certs: Sequence[tuple[int, int, tuple[int, ...]]] = (),
+    removed: int = 0,
+    depth: int = 0,
+    first: int = 0,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Removal sets of size k, lexicographically, each with its residue's key.
 
@@ -58,18 +64,47 @@ def _removal_sets(
     unremoved lower twin gives a lexicographically smaller set whose residue
     is isomorphic, with the same value and domain status.  The first hit in
     lexicographic order is therefore always a prefix set.
+
+    ``certs`` holds certificates, each the largest size it serves, its
+    vertices, and each vertex with its lower twins.  A set of a size it
+    serves that misses a certificate is no hit, so no candidate is taken
+    after which the set can no longer meet one that ``removed`` misses.  The
+    set can still take a vertex of it when the r vertices of its twin prefix
+    not yet removed fit in the k - depth picks left and the lowest of them,
+    y, is not passed: y itself is the candidate when r = k - depth, and any
+    candidate up to y will do when r is smaller.  The certificates are read
+    at every node, so one added during the scan cuts from the next node on.
     """
-    for p in range(first, len(key) - k + depth + 1):
-        if prev[p + depth] & ~removed:
+    left = k - depth
+    # vertices v = p + depth for p from first to len(key) - left
+    candidates = (1 << len(key) + depth - left + 1) - (1 << first + depth)
+    for limit, members, needs in certs:
+        if k > limit or members & removed:
+            continue  # the set already meets the certificate, or is too large for it
+        takeable = 0
+        for need in needs:
+            rest = need & ~removed
+            lowest = rest & -rest
+            if rest.bit_count() < left:
+                takeable |= (lowest << 1) - 1
+            elif rest.bit_count() == left:
+                takeable |= lowest
+        candidates &= takeable
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        v = bit.bit_length() - 1
+        if prev[v] & ~removed:
             continue
+        p = v - depth
         low = (1 << p) - 1
         high = ~low
         child = tuple([r & low | r >> 1 & high for r in key[:p] + key[p + 1:]])
-        mask = removed | 1 << p + depth
+        mask = removed | bit
         if depth + 1 == k:
             yield mask, child
         else:
-            yield from _removal_sets(child, prev, k, mask, depth + 1, p)
+            yield from _removal_sets(child, prev, k, certs, mask, depth + 1, p)
 
 
 @_solved_once()  # the base graph's set, stored by domination_number, seeds the pool
@@ -88,11 +123,49 @@ def _stability_search(
     out_of_domain = policy is RemovalPolicy.COUNT_AS_CHANGED
     adj, closed, full = g.adj, g.closed, g.full_mask
     exact = rule is WitnessRule.EXACTLY_TWO
+    # Each vertex with its lower twins, and the top vertex of its twin class.
+    prev = _lower_twins(adj)
+    need: list[int] = []
+    for v, low in enumerate(prev):
+        need.append(1 << v | (need[low.bit_length() - 1] if low else 0))
+    top = list(range(g.n))
+    for v in reversed(range(g.n)):
+        if prev[v]:
+            top[prev[v].bit_length() - 1] = top[v]
     # Valid sets of size base, in original indices: the optimum of g, then of
     # every residue solved or found in the run's table with the value base.
     # There are none when base is None or the gate's 1, and then every
-    # residue is solved.
-    pool = [] if base is None or _gate_applies(g, variant, conv) else [_minimum_set(g, variant, base)]
+    # residue is solved.  Those that dominate g give the certificates.
+    pool: list[int] = []
+    certs: list[tuple[int, int, tuple[int, ...]]] = []
+
+    def keep(members: int) -> None:
+        """Add a valid set of size base to the pool.  A pair {u, v} that
+        dominates g, with a common neighbour w when u and v are not adjacent,
+        stays valid in g - R for every R that misses it: it still dominates,
+        leaves no isolate, and u and v stay within (or, under exact2, at)
+        distance 2.  So g - R has the value 2 = base unless it is complete
+        under the convention, which puts all its n - k vertices in both N[u]
+        and N[v]; at smaller k the pair is a certificate for ``_removal_sets``.
+        It is lifted to the top of its twin classes by a twin swap, an
+        automorphism, since the scan takes each class from the bottom."""
+        pool.append(members)
+        if base != 2:
+            return
+        u, v = iter_bits(members)
+        if closed[u] | closed[v] != full:
+            return
+        if not adj[u] >> v & 1:
+            members |= 1 << (adj[u] & adj[v]).bit_length() - 1
+        lifted = 0
+        for x in iter_bits(members):
+            lifted |= 1 << (need[top[x]] & ~lifted).bit_length() - 1
+        cert = (g.n - 1 - (closed[u] & closed[v]).bit_count(), lifted, tuple(need[x] for x in iter_bits(lifted)))
+        if cert not in certs:
+            certs.append(cert)
+
+    if base is not None and not _gate_applies(g, variant, conv):
+        keep(_minimum_set(g, variant, base))
 
     def still_valid(members: int, removed: int) -> bool:
         """True iff ``members`` (disjoint from ``removed``) is valid in g - removed."""
@@ -140,15 +213,14 @@ def _stability_search(
         number, best = stored
         if best is not None and number == base:
             # residue index i is the i-th vertex left after the removal
-            pool.append(mask_from(v for i, v in enumerate(iter_bits(full & ~removed)) if best >> i & 1))
+            keep(mask_from(v for i, v in enumerate(iter_bits(full & ~removed)) if best >> i & 1))
         return number
 
     # Residue values by residue key; only a residue that neither the table nor the screen settles is built.
     cache: dict[tuple[int, ...], int | None] = {}
-    prev = _lower_twins(g.adj)
     scanned = 0
     for k in range(1, g.n):
-        for removed, key in _removal_sets(g.adj, prev, k):
+        for removed, key in _removal_sets(adj, prev, k, certs):
             scanned += 1
             if scanned > _MAX_SETS:
                 raise BudgetExceededError(f"the stability scan passed {_MAX_SETS} removal sets at size {k}")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import networkx as nx
@@ -35,7 +36,7 @@ from semitotal import (
 from semitotal import claims, is_semitotal, semitotal
 from semitotal import report as report_module
 from semitotal.claims import _all_trees, _isomorphic, _tree_code
-from semitotal.domination import _set_of_at_most, _solved, _solved_once
+from semitotal.domination import _levels, _solved, _solved_once
 from semitotal.cli import cli
 
 from conftest import relabeled, to_nx
@@ -278,8 +279,8 @@ def test_typed_error_becomes_undefined_row(monkeypatch, fresh_half_rows, oracle,
     budget, site = FORMERLY_UNGUARDED.get(pattern, (7, None))
     monkeypatch.setattr(f"semitotal.claims.{oracle}", over_budget)
     if pattern == "T-half":
-        # the reverse sweep asks for sets of at most n/2 - 1 and n/2 members, not the number
-        monkeypatch.setattr("semitotal.claims._set_of_at_most", over_budget)
+        # the reverse sweep deepens from n/2 - 1 members, not for the number
+        monkeypatch.setattr("semitotal.claims._levels", over_budget)
     report = run_claims(pattern, budget=budget)
     computed = [r for r in report.rows if r.oracle != "skipped"]
     assert computed
@@ -561,15 +562,15 @@ def test_run_table_is_per_thread():
 
 
 def test_half_decision_matches_the_number_on_small_trees():
-    # T-half's reverse sweep asks for sets of at most n/2 - 1 and n/2 members
-    # in place of the number; it must attain n/2 exactly when the number does.
+    # T-half's reverse sweep deepens from n/2 - 1 members in place of asking
+    # for the number; it must attain n/2 exactly when the number does.
     for t in _trees_up_to(10):
         if t.n < 4:
             continue
         for rule in WitnessRule:
             variant = semitotal(rule)
             value = domination_number(t, variant, claims._BARE)
-            found = {k: _set_of_at_most(t, variant, k) for k in range(1, t.n + 1)}
+            found = {k: next(_levels(t, variant, k), None) for k in range(1, t.n + 1)}
             for k, members in found.items():
                 assert (members is not None) == (value is not None and value <= k), (t.edges(), k)
                 assert members is None or (members.bit_count() <= k and is_semitotal(t, members, rule))
@@ -577,3 +578,5 @@ def test_half_decision_matches_the_number_on_small_trees():
                 half = t.n // 2
                 attains = found[half - 1] is None and found[half] is not None
                 assert attains == (value is not None and 2 * value == t.n), t.edges()
+                levels = [x is None for x in islice(_levels(t, variant, half - 1), 2)]
+                assert (levels == [True, False]) == attains, t.edges()

@@ -66,9 +66,9 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_budget_error_exits_2(capsys, monkeypatch):
-    # the hit of K10,10 at k = 18 is the 116th of its 119 removal sets
+    # under exact2 no certificate cuts C10's scan, and its hit at k = 3 is the 56th set
     monkeypatch.setattr("semitotal.stability._MAX_SETS", 50)
-    code, _, err = run(capsys, "stability", "--family", "complete_bipartite:10,10")
+    code, _, err = run(capsys, "stability", "--family", "cycle:10", "--rule", "exact2")
     assert code == 2
     assert "computation error" in err
     assert "removal sets" in err

@@ -263,15 +263,45 @@ def test_kmn_past_the_full_scan_reach():
 
 
 def test_scan_is_refused_past_the_set_bound(monkeypatch):
-    # P7 v P7 has no twins, and its hit at k = 7 is the 6,476th set scanned
-    g = join(path(7), path(7))
-    monkeypatch.setattr("semitotal.stability._MAX_SETS", 6476)
-    assert stability_witness(g, WITHIN) == (7, 127)
-    monkeypatch.setattr("semitotal.stability._MAX_SETS", 6475)
-    with pytest.raises(BudgetExceededError, match="passed 6475 removal sets at size 7"):
-        stability_witness(g, WITHIN)
+    # C10 has no twins, and under exact2 its base is 4, so no certificate
+    # cuts the scan: its hit at k = 3 is the 56th set scanned
+    g = cycle(10)
+    monkeypatch.setattr("semitotal.stability._MAX_SETS", 56)
+    assert stability_witness(g, EXACT) == (3, 7)
+    monkeypatch.setattr("semitotal.stability._MAX_SETS", 55)
+    with pytest.raises(BudgetExceededError, match="passed 55 removal sets at size 3"):
+        stability_witness(g, EXACT)
     with pytest.raises(BudgetExceededError):
-        semitotal_stability(g, WITHIN)
+        semitotal_stability(g, EXACT)
+
+
+def test_certificates_cut_the_twin_free_join_scan(monkeypatch):
+    # P7 v P7 has no twins, and without certificates its hit at k = 7 is the
+    # 6,476th set scanned; every pair of one vertex from each side dominates.
+    monkeypatch.setattr("semitotal.stability._MAX_SETS", 382)
+    assert stability_witness(join(path(7), path(7)), WITHIN) == (7, 127)
+
+
+@st.composite
+def joins(draw):
+    """The join of two graphs on 1-5 vertices each, its vertices shuffled."""
+    g = join(draw(graphs(min_n=1, max_n=5)), draw(graphs(min_n=1, max_n=5)))
+    return relabeled(g, draw(st.permutations(range(g.n))))
+
+
+@given(
+    st.one_of(joins(), blown_up_graphs()),
+    st.sampled_from(list(WitnessRule)),
+    st.sampled_from(list(RemovalPolicy)),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_certificate_cut_matches_reference(g, rule, policy, singleton):
+    # Joins are where pairs that dominate the whole graph abound; blown-up
+    # graphs are where certificates are lifted through twin classes.
+    conv = Conventions(singleton)
+    expected = _outcome(_reference_search, g, rule, conv, policy)
+    assert _outcome(stability_witness, g, rule, conv, policy) == expected
 
 
 @pytest.mark.parametrize("g", [path(7), cycle(8), complete_bipartite(3, 4), wheel(7)], ids=lambda g: g.name)
@@ -312,7 +342,7 @@ def test_search_memory_stays_small():
 
 
 def test_twin_free_search_memory_stays_small():
-    # No twins: 6,476 removal sets are scanned before the hit at k = 7.
+    # No twins: 202 removal sets are scanned before the hit at k = 7.
     peak = _search_peak(join(path(7), path(7)))
     assert peak < 1 << 19, peak
 
