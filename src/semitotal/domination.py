@@ -11,7 +11,6 @@ families; every caller must say which one it means.
 from __future__ import annotations
 
 import enum
-import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -77,29 +76,30 @@ DEFAULT_CONVENTIONS = Conventions()
 # -- membership predicates ---------------------------------------------
 
 
-def _require_isolate_free(g: Graph) -> None:
-    if not g.is_isolate_free():
+def _validate(g: Graph, variant: Variant) -> None:
+    if g.n == 0:
+        raise EmptyGraphError("domination is undefined on the empty graph")
+    if variant.kind != "plain" and not g.is_isolate_free():
         raise IsolatesError("operation requires an isolate-free graph")
 
 
-def _require_members(g: Graph, members: int) -> None:
+def _member_test(g: Graph, variant: Variant, members: int) -> bool:
+    """``_is_valid`` behind the checks of the public predicates: the graph
+    by ``_validate``, then the members against the graph's vertices."""
+    _validate(g, variant)
     if members & ~g.full_mask:
         raise ValueError("member set contains vertices outside the graph")
+    return _is_valid(g, variant, members)
 
 
 def is_dominating(g: Graph, members: int) -> bool:
     """True iff the closed neighborhoods of the members cover every vertex."""
-    if g.n == 0:
-        raise EmptyGraphError("domination is undefined on the empty graph")
-    _require_members(g, members)
-    return _is_valid(g, PLAIN, members)
+    return _member_test(g, PLAIN, members)
 
 
 def is_total_dominating(g: Graph, members: int) -> bool:
     """True iff every vertex (members included) has a neighbor in the set."""
-    _require_isolate_free(g)
-    _require_members(g, members)
-    return _is_valid(g, TOTAL, members)
+    return _member_test(g, TOTAL, members)
 
 
 def is_semitotal(g: Graph, members: int, rule: WitnessRule) -> bool:
@@ -108,9 +108,7 @@ def is_semitotal(g: Graph, members: int, rule: WitnessRule) -> bool:
     A singleton never satisfies the witness clause; the complete-graph
     convention is applied only by the number/count operations, never here.
     """
-    _require_isolate_free(g)
-    _require_members(g, members)
-    return _is_valid(g, semitotal(rule), members)
+    return _member_test(g, semitotal(rule), members)
 
 
 def _witness_masks(g: Graph, rule: WitnessRule) -> tuple[int, ...]:
@@ -121,13 +119,6 @@ def _witness_masks(g: Graph, rule: WitnessRule) -> tuple[int, ...]:
 
 def _cover_masks(g: Graph, variant: Variant) -> tuple[int, ...]:
     return g.adj if variant.kind == "total" else g.closed
-
-
-def _validate(g: Graph, variant: Variant) -> None:
-    if g.n == 0:
-        raise EmptyGraphError("domination is undefined on the empty graph")
-    if variant.kind != "plain":
-        _require_isolate_free(g)
 
 
 def _gate_applies(g: Graph, variant: Variant, conv: Conventions) -> bool:
@@ -366,10 +357,13 @@ def _levels(g: Graph, variant: Variant, start: int | None = None) -> Iterator[in
     def search(chosen: int, covered: int, free: int, reqs: list[int], budget: int) -> int | None:
         if not reqs:
             return chosen
-        if need(n - covered.bit_count()) > budget or _packing(reqs) > budget:
+        if need[n - covered.bit_count()] > budget or _packing(reqs) > budget:
             return None
-        for w in iter_bits(reqs[0]):
-            bit = 1 << w
+        rest = reqs[0]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length() - 1
             free &= ~bit  # w is chosen in this branch and banned in the later ones
             child = [cands & free for cands in reqs if not cands & bit]
             if witness is not None and not chosen & witness[w]:
@@ -388,8 +382,8 @@ def _levels(g: Graph, variant: Variant, start: int | None = None) -> Iterator[in
     reqs = sorted([row & allowed for row in cover], key=int.bit_count)
     if not reqs[0]:
         return
-    need = _counting_bound(g, variant)
-    k = max(_packing(reqs), need(n), 1 if witness is None else 2) if start is None else start
+    need = list(map(_counting_bound(g, variant), range(n + 1)))  # by uncovered count
+    k = max(_packing(reqs), need[n], 1 if witness is None else 2) if start is None else start
     while (found := search(0, 0, allowed, reqs, k)) is None:
         yield None
         k += 1
@@ -420,7 +414,7 @@ def minimum_sets(
 
 # -- exact counting ------------------------------------------------------
 
-# The state caps of ``_frontier``, one per caller.  A step at most doubles
+# The state caps of the two ``_frontier`` kernels.  A step at most doubles
 # the table, so it never holds more than twice its cap.  Counting has no
 # other way to its answer, so its cap is wide: P8xP8 under exact2 peaks at
 # 77,776 states and K13,14 at 8,192, while K30,34 passes the cap with 18 of
@@ -429,11 +423,10 @@ _MAX_STATES = 1 << 17
 
 # The number has the branch and bound to fall back on, so its cap is narrow:
 # a refusal costs a few milliseconds before the deepening takes over.  P7xP7
-# under within2 fits, and under exact2 (18,003 states) it stays on the
-# branch and bound, which is faster there.  With the counting cap for both,
-# the exact2 grids P6xP6 and P7xP7 finish the program instead, and the
-# ``solve`` workload took 0.343 s in place of 0.266 s (+29 %; 2 cores,
-# Python 3.11).
+# under within2 fits, and under exact2 it stays on the branch and bound.
+# With the counting cap for both, the min-plus kernel finishes exact2 P7xP7
+# through 18,003 states (2.5 MiB) in about the deepening's time, and the
+# ``solve`` workload's peak memory grows by about 2.0 MiB.
 _MAX_NUMBER_STATES = 1 << 12
 
 
@@ -455,70 +448,73 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def _frontier(g: Graph, variant: Variant, lane: int, merge: Callable[[int, int], int], cap: int) -> int:
-    """The valid sets by size, from a dynamic program over the vertices.
+def _frontier(g: Graph, variant: Variant) -> list[tuple[int, int, int, int]]:
+    """The steps of a dynamic program over the vertices, one per vertex.
 
     Every requirement is a clause.  Cover clause u (bit u) asks for a member
     in ``cover[u]``.  Under semitotal, witness clause v (bit n + v) asks that
     v be no member or that some vertex of ``witness[v]`` be one.  Both
-    relations are symmetric, so a member v meets the clauses in ``met_in[v]
-    = cover[v] | witness[v] << n``, and an outsider v meets ``met_out[v]``,
-    its own witness clause.  Vertices are decided in ``_bfs_order``, and a
-    state is the set of clauses the decided vertices meet.  A clause not met
-    when its last vertex is decided (``closing``) can no longer be met, so
-    the state is dropped there.  Every kept state thus holds all closed
-    clauses and none that no decided vertex touches, so states differ only
-    in the open clauses: the table follows the frontier width of the order,
-    not 2^n.
-
-    A state's value stands for the partial sets that reach it, by size, in
-    lanes of ``lane`` bits: adding v to the sets shifts it by one lane, and
-    two partial sets that reach one state merge by ``merge``.  With lanes of
-    n + 1 bits and addition, lane k counts the sets of size k; with one-bit
-    lanes and or, bit k says that some set of size k exists.  Returns the
-    value of the one state left at the end, with every clause met, or 0 when
-    none is left.  Raises ``BudgetExceededError`` once a step leaves more
-    than ``cap`` states.
+    relations are symmetric, so a member v meets the clauses in ``member =
+    cover[v] | witness[v] << n``, and an outsider v meets ``out``, its own
+    witness clause.  Vertices are decided in ``_bfs_order``, and a state is
+    the set of clauses the decided vertices meet.  A clause not met when its
+    last vertex is decided can no longer be met, so the state is dropped
+    there: a state goes on as an outsider only if it holds ``need_out``, the
+    closing clauses v does not meet as one, and as a member only if it holds
+    ``need_in``.  Every kept state thus holds all closed clauses and none
+    that no decided vertex touches, so states differ only in the open
+    clauses: the table follows the frontier width of the order, not 2^n.
+    The step of v is ``(out, member, need_out, need_in)``; the one state left
+    after the last step, if any, has every clause met.
     """
     n = g.n
     cover = _cover_masks(g, variant)
     if variant.kind == "semitotal":
         witness = _witness_masks(g, variant.rule)
-        met_in = [cover[v] | witness[v] << n for v in range(n)]
-        met_out = [1 << n + v for v in range(n)]
+        met = [(1 << n + v, cover[v] | witness[v] << n) for v in range(n)]
     else:
-        met_in, met_out = cover, (0,) * n
-    order = _bfs_order(g)
-    closing, seen = [], 0
-    for v in reversed(order):
-        closing.append((met_in[v] | met_out[v]) & ~seen)
-        seen |= met_in[v] | met_out[v]
-    closing.reverse()
-    table = {0: 1}
-    for decided, (v, last) in enumerate(zip(order, closing), 1):
-        out, member = met_out[v], met_in[v]
-        nxt: dict[int, int] = {}
-        for state, value in table.items():
-            key = state | out
-            if key & last == last:
-                nxt[key] = merge(nxt[key], value) if key in nxt else value
-            key = state | member
-            if key & last == last:
-                value <<= lane
-                nxt[key] = merge(nxt[key], value) if key in nxt else value
-        if len(nxt) > cap:
-            raise BudgetExceededError(f"counting needs more than {cap} states "
-                                      f"with {decided} of {n} vertices decided")
-        table = nxt
-    return next(iter(table.values()), 0)
+        met = [(0, row) for row in cover]
+    steps, seen = [], 0
+    for v in reversed(_bfs_order(g)):
+        out, member = met[v]
+        last = (out | member) & ~seen
+        seen |= out | member
+        steps.append((out, member, last & ~out, last & ~member))
+    steps.reverse()
+    return steps
+
+
+def _too_many_states(cap: int, decided: int, n: int) -> BudgetExceededError:
+    return BudgetExceededError(f"counting needs more than {cap} states with {decided} of {n} vertices decided")
 
 
 def _least_size(g: Graph, variant: Variant) -> int | None:
-    """Least size of a valid set, the lowest bit of ``_frontier`` over or,
-    under the cap ``_MAX_NUMBER_STATES``.  Returns None when no valid set
-    exists.  Applies no convention."""
-    sizes = _frontier(g, variant, 1, operator.or_, _MAX_NUMBER_STATES)
-    return (sizes & -sizes).bit_length() - 1 if sizes else None
+    """Least size of a valid set, by the steps of ``_frontier`` over min-plus:
+    a state's value is the least number of members of a partial set that
+    reaches it, a member adds 1, and two values that reach one state keep
+    the smaller.  Returns None when no valid set exists.  Applies no
+    convention.  Raises ``BudgetExceededError`` once a step leaves more than
+    ``_MAX_NUMBER_STATES`` states."""
+    cap, n = _MAX_NUMBER_STATES, g.n
+    top = n + 1  # above every size
+    table = {0: 0}
+    for decided, (out, member, need_out, need_in) in enumerate(_frontier(g, variant), 1):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for state, size in table.items():
+            if state & need_out == need_out:
+                key = state | out
+                if get(key, top) > size:
+                    nxt[key] = size
+            if state & need_in == need_in:
+                key = state | member
+                size += 1
+                if get(key, top) > size:
+                    nxt[key] = size
+        if len(nxt) > cap:
+            raise _too_many_states(cap, decided, n)
+        table = nxt
+    return next(iter(table.values()), None)
 
 
 def count_by_size(
@@ -526,23 +522,41 @@ def count_by_size(
     variant: Variant,
     conv: Conventions = DEFAULT_CONVENTIONS,
 ) -> CountPolynomial:
-    """Number of valid sets of every cardinality, by ``_frontier`` over addition.
+    """Number of valid sets of every cardinality, by the steps of ``_frontier``
+    over addition.
 
     Exact: the dynamic program counts every subset once, by the clauses
     alone; no closed form is ever consulted, so the result can serve as the
-    oracle for the counting claims.  The count of size k is lane k of the
-    program's value, in lanes of n + 1 bits, wide enough for any count up to
-    2^n.  The complete-graph convention adds the singletons as valid sets.
-    No vertex budget applies: the table follows the frontier width of the
-    vertex order, so paths, cycles and narrow grids count up to 64 vertices,
-    and a graph whose table would pass ``_MAX_STATES`` states is refused with
-    ``BudgetExceededError`` instead.
+    oracle for the counting claims.  A state's value packs the counts of the
+    partial sets that reach it by size, in lanes of n + 1 bits, wide enough
+    for any count up to 2^n: a member shifts it by one lane, and two values
+    that reach one state add.  The count of size k is lane k of the value
+    left at the end.  The complete-graph convention adds the singletons as
+    valid sets.  No vertex budget applies: the table follows the frontier
+    width of the vertex order, so paths, cycles and narrow grids count up to
+    64 vertices, and a graph whose table would pass ``_MAX_STATES`` states
+    is refused with ``BudgetExceededError`` instead.
     """
     gated = _gate_applies(g, variant, conv)
     if not gated:
         _validate(g, variant)
-    lane = g.n + 1
-    packed = _frontier(g, variant, lane, operator.add, _MAX_STATES)
+    cap, n = _MAX_STATES, g.n
+    lane = n + 1
+    table = {0: 1}
+    for decided, (out, member, need_out, need_in) in enumerate(_frontier(g, variant), 1):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for state, value in table.items():
+            if state & need_out == need_out:
+                key = state | out
+                nxt[key] = get(key, 0) + value
+            if state & need_in == need_in:
+                key = state | member
+                nxt[key] = get(key, 0) + (value << lane)
+        if len(nxt) > cap:
+            raise _too_many_states(cap, decided, n)
+        table = nxt
+    packed = next(iter(table.values()), 0)
     coeffs = [packed >> k * lane & (1 << lane) - 1 for k in range(g.n + 1)]
     if gated:
         coeffs[1] += g.n

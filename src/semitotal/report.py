@@ -102,9 +102,6 @@ class VerificationReport:
         self.budget = budget
         self.conventions = conv
 
-    def rows_for(self, claim: str) -> list[ClaimRow]:
-        return [r for r in self.rows if r.claim == claim]
-
     def summary(self) -> dict[str, dict]:
         # one pass over the rows, tallying verdicts by claim and rule
         tallies: dict[str, dict[str, list[int]]] = {cid: {} for cid in self.claim_order}

@@ -100,6 +100,9 @@ def test_is_total_dominating_examples():
     assert not is_total_dominating(complete(2), mask_from([0]))
     with pytest.raises(IsolatesError):
         is_total_dominating(Graph.from_edges(3, [(0, 1)]), 0b111)
+    # the empty graph is refused as empty, as by every other entry point
+    with pytest.raises(EmptyGraphError):
+        is_total_dominating(Graph(0, []), 0)
 
 
 def test_is_semitotal_examples():
@@ -109,6 +112,9 @@ def test_is_semitotal_examples():
     assert not is_semitotal(c4, pair, WitnessRule.EXACTLY_TWO)
     leaves = mask_from([1, 2, 3])
     assert is_semitotal(star(3), leaves, WitnessRule.EXACTLY_TWO)
+    for rule in WitnessRule:
+        with pytest.raises(EmptyGraphError):
+            is_semitotal(Graph(0, []), 0, rule)
 
 
 def test_singletons_never_semitotal_via_predicate():
@@ -476,8 +482,9 @@ def _refusal(solver, g, variant):
 
 
 def test_number_and_count_hold_the_same_table(monkeypatch):
-    # The number and the counts run one program over two semirings, so under
-    # one cap they keep the same states and refuse at the same vertex step.
+    # The number (min-plus) and the counts (addition) run two kernels over
+    # the one step list of ``_frontier``, so under one cap they keep the same
+    # states and refuse at the same vertex step.
     graphs = [complete_bipartite(4, 6), friendship(5), wheel(9), book(5),
               cartesian(path(4), path(5)), cartesian(path(5), path(6))]
     refusals = []
@@ -490,6 +497,17 @@ def test_number_and_count_hold_the_same_table(monkeypatch):
                 assert _refusal(_least_size, g, variant) == counted, (cap, g.name, variant)
                 refusals.append(counted)
     assert None in refusals and any(refusals)
+
+
+def test_number_has_a_narrower_cap_than_the_counts():
+    # Under the counting cap the number of exact2 P7xP7 would keep 18,003
+    # states, and the branch and bound is faster there; so the number's own
+    # cap refuses it early, while the counts, which have no other way, finish.
+    g = cartesian(path(7), path(7))
+    with pytest.raises(BudgetExceededError, match="more than 4096 states with 21 of 49 vertices decided"):
+        _least_size(g, SEMITOTAL_EXACT)
+    counts = count_by_size(g, SEMITOTAL_EXACT)
+    assert next(k for k in range(g.n + 1) if counts[k]) == 14
 
 
 def test_number_of_wide_graphs_is_fast():
