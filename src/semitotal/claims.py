@@ -198,7 +198,7 @@ def _all_trees(n: int) -> tuple[Graph, ...]:
     that the parent of vertex i is the last vertex before it one level up.
     """
     if n == 1:
-        return (Graph(1, [0], "K1"),)
+        return (Graph._derived(1, (0,), "K1"),)
     out = []
     # the path, rooted at its centre, is the first sequence
     levels: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
@@ -213,7 +213,7 @@ def _all_trees(n: int) -> tuple[Graph, ...]:
                 rows[i] |= 1 << stack[-1]
                 rows[stack[-1]] |= 1 << i
             stack.append(i)
-        out.append(Graph(n, rows, f"tree{n}"))
+        out.append(Graph._derived(n, rows, f"tree{n}"))
         levels = _next_rooted_tree(levels)
     return tuple(out)
 

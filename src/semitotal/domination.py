@@ -16,7 +16,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations, compress, islice
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, EmptyGraphError, IsolatesError
 from .graph import Graph, iter_bits, mask_from
@@ -48,14 +48,17 @@ class Variant:
 
 PLAIN = Variant("plain")
 TOTAL = Variant("total")
+SEMITOTAL_WITHIN = Variant("semitotal", WitnessRule.WITHIN_TWO)
+SEMITOTAL_EXACT = Variant("semitotal", WitnessRule.EXACTLY_TWO)
 
 
 def semitotal(rule: WitnessRule = WitnessRule.WITHIN_TWO) -> Variant:
-    return Variant("semitotal", rule)
-
-
-SEMITOTAL_WITHIN = semitotal(WitnessRule.WITHIN_TWO)
-SEMITOTAL_EXACT = semitotal(WitnessRule.EXACTLY_TWO)
+    """The semitotal variant under ``rule``: one shared instance per rule."""
+    if rule is WitnessRule.WITHIN_TWO:
+        return SEMITOTAL_WITHIN
+    if rule is WitnessRule.EXACTLY_TWO:
+        return SEMITOTAL_EXACT
+    raise ValueError(f"unknown witness rule {rule!r}")
 
 
 @dataclass(frozen=True)
@@ -287,8 +290,8 @@ def _packing(reqs: list[int]) -> int:
     return size
 
 
-def _counting_bound(g: Graph, variant: Variant) -> Callable[[int], int]:
-    """Members still needed to cover ``uncovered`` vertices, as a function.
+def _counting_bound(g: Graph, variant: Variant) -> list[int]:
+    """Members still needed to cover U uncovered vertices, by U from 0 to n.
 
     With g the largest cover mask of an allowed vertex, each new member
     covers at most g new vertices: ceil(U / g).  Under semitotal a member
@@ -302,9 +305,9 @@ def _counting_bound(g: Graph, variant: Variant) -> Callable[[int], int]:
     cover = _cover_masks(g, variant)
     if variant.kind == "semitotal":
         reach = max(map(int.bit_count, compress(cover, _witness_masks(g, variant.rule))))
-        return lambda uncovered: -(-2 * uncovered // (2 * reach - 1))
+        return [-(-2 * uncovered // (2 * reach - 1)) for uncovered in range(g.n + 1)]
     reach = max(map(int.bit_count, cover))
-    return lambda uncovered: -(-uncovered // reach)
+    return [-(-uncovered // reach) for uncovered in range(g.n + 1)]
 
 
 def _minimum_set(g: Graph, variant: Variant, number: int | None = None) -> int | None:
@@ -382,7 +385,7 @@ def _levels(g: Graph, variant: Variant, start: int | None = None) -> Iterator[in
     reqs = sorted([row & allowed for row in cover], key=int.bit_count)
     if not reqs[0]:
         return
-    need = list(map(_counting_bound(g, variant), range(n + 1)))  # by uncovered count
+    need = _counting_bound(g, variant)
     k = max(_packing(reqs), need[n], 1 if witness is None else 2) if start is None else start
     while (found := search(0, 0, allowed, reqs, k)) is None:
         yield None

@@ -79,7 +79,7 @@ def book(n: int) -> Graph:
     from .products import cartesian
 
     g = cartesian(star(n), path(2))
-    return Graph(g.n, g.adj, f"B{n}")
+    return Graph._derived(g.n, g.adj, f"B{n}")
 
 
 def petersen() -> Graph:

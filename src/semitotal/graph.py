@@ -42,9 +42,10 @@ class Graph:
     """Simple undirected graph with adjacency stored as per-vertex bit masks.
 
     Instances are immutable after construction and safe to share between
-    concurrent workers.  The constructor validates symmetry, irreflexivity
-    and the word budget; every operation in the package goes through it, so
-    the invariants hold for all derived graphs as well.
+    concurrent workers.  The public constructor validates symmetry,
+    irreflexivity and the word budget.  Graphs the package derives (edge
+    lists through ``from_edges``, induced subgraphs, enumerated trees) are
+    valid by construction and skip those checks through ``_derived``.
     """
 
     __slots__ = ("n", "adj", "name", "_closed", "_ball2", "_sphere2")
@@ -59,6 +60,8 @@ class Graph:
             raise ValueError(f"adjacency has {len(adj)} rows for {n} vertices")
         full = (1 << n) - 1
         for v, row in enumerate(adj):
+            if row < 0:
+                raise ValueError(f"adjacency of vertex {v} is negative: {row}")
             if row & ~full:
                 raise ValueError(f"adjacency of vertex {v} references vertices >= {n}")
             if row >> v & 1:
@@ -75,6 +78,15 @@ class Graph:
         self._sphere2: tuple[int, ...] | None = None
 
     @classmethod
+    def _derived(cls, n: int, adj: Iterable[int], name: str | None = None) -> "Graph":
+        """The graph on rows that are symmetric, irreflexive and inside the n
+        vertices by construction, with n within the word budget; unchecked."""
+        g = cls.__new__(cls)
+        g.n, g.adj, g.name = n, tuple(adj), name
+        g._closed = g._ball2 = g._sphere2 = None
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], name: str | None = None) -> "Graph":
         """Build a graph from an edge list (duplicates collapsed)."""
         if n < 0:
@@ -89,7 +101,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows, name)
+        return cls._derived(n, rows, name)
 
     # -- basic queries ------------------------------------------------
 
@@ -146,7 +158,7 @@ class Graph:
     def closed(self) -> tuple[int, ...]:
         """Closed neighborhood masks for every vertex."""
         if self._closed is None:
-            self._closed = tuple(row | 1 << v for v, row in enumerate(self.adj))
+            self._closed = tuple([row | 1 << v for v, row in enumerate(self.adj)])
         return self._closed
 
     def ball_within_two(self, v: int) -> int:
@@ -161,11 +173,13 @@ class Graph:
 
     def _ball2_all(self) -> tuple[int, ...]:
         if self._ball2 is None:
-            out = []
-            for v, row in enumerate(self.adj):
-                reach = row
-                for u in iter_bits(row):
-                    reach |= self.adj[u]
+            adj, out = self.adj, []
+            for v, row in enumerate(adj):
+                reach = rest = row
+                while rest:
+                    low = rest & -rest
+                    reach |= adj[low.bit_length() - 1]
+                    rest ^= low
                 out.append(reach & ~(1 << v))
             self._ball2 = tuple(out)
         return self._ball2
@@ -224,12 +238,12 @@ class Graph:
 
     def is_isolate_free(self) -> bool:
         """True iff the graph is nonempty and every vertex has a neighbor."""
-        return self.n >= 1 and all(row for row in self.adj)
+        return self.n >= 1 and all(self.adj)
 
     def is_complete(self) -> bool:
         """True iff every pair of distinct vertices is adjacent (n <= 1 included)."""
-        full = self.full_mask
-        return all(row == full & ~(1 << v) for v, row in enumerate(self.adj))
+        # no row holds its own vertex, so n - 1 bits in every row is the only way
+        return sum(map(int.bit_count, self.adj)) == self.n * (self.n - 1)
 
     # -- vertex deletion ------------------------------------------------
 
@@ -249,4 +263,20 @@ class Graph:
             for u in iter_bits(self.adj[v] & ~remove):
                 row |= 1 << old_to_new[u]
             rows.append(row)
-        return Graph(len(keep), rows, self.name), old_to_new
+        return Graph._derived(len(keep), rows, self.name), old_to_new
+
+
+def _lower_twins(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Bit of each v's nearest lower twin u, where N(u) - v = N(v) - u; 0 if it has none.
+
+    Such u and v are false twins, N(u) = N(v), or true twins, N[u] = N[v], so
+    one pass keeps the last vertex seen with each open and each closed row.
+    """
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    out = []
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        out.append(max(by_open.get(row, 0), by_closed.get(row | bit, 0)))
+        by_open[row] = by_closed[row | bit] = bit
+    return tuple(out)

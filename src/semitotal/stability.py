@@ -6,7 +6,7 @@ import enum
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, EmptyGraphError, IsolatesError
-from .graph import Graph, iter_bits, mask_from
+from .graph import Graph, _lower_twins, iter_bits, mask_from
 from .domination import (
     Conventions,
     DEFAULT_CONVENTIONS,
@@ -34,12 +34,6 @@ class RemovalPolicy(enum.Enum):
 
     SKIP_SET = "skip"
     COUNT_AS_CHANGED = "changed"
-
-
-def _lower_twins(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Bit of each v's nearest lower twin u, where N(u) - v = N(v) - u; 0 if it has none."""
-    return tuple(max((1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)), default=0)
-                 for v in range(len(adj)))
 
 
 def _removal_sets(

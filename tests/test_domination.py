@@ -105,6 +105,15 @@ def test_is_total_dominating_examples():
         is_total_dominating(Graph(0, []), 0)
 
 
+def test_semitotal_shares_one_variant_per_rule():
+    assert semitotal() is SEMITOTAL_WITHIN
+    assert semitotal(WitnessRule.WITHIN_TWO) is SEMITOTAL_WITHIN
+    assert semitotal(WitnessRule.EXACTLY_TWO) is SEMITOTAL_EXACT
+    for rule in (None, "within2"):
+        with pytest.raises(ValueError, match="unknown witness rule"):
+            semitotal(rule)
+
+
 def test_is_semitotal_examples():
     c4 = cycle(4)
     pair = mask_from([0, 1])
@@ -365,7 +374,7 @@ def test_counting_bound_never_exceeds_the_oracle(g):
         except IsolatesError:
             continue
         if expected is not None:
-            assert _counting_bound(g, variant)(g.n) <= expected, (g.edges(), variant)
+            assert _counting_bound(g, variant)[g.n] <= expected, (g.edges(), variant)
 
 
 def test_counting_bound_is_tight_on_paths_and_cycles():
@@ -374,7 +383,7 @@ def test_counting_bound_is_tight_on_paths_and_cycles():
     for n in range(4, 65):
         for rule in WitnessRule:
             for g in (path(n), cycle(n)):
-                assert _counting_bound(g, semitotal(rule))(n) == -(-2 * n // 5), (g.name, rule)
+                assert _counting_bound(g, semitotal(rule))[n] == -(-2 * n // 5), (g.name, rule)
 
 
 def test_minimum_set_on_near_tight_graphs():

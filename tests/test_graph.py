@@ -2,8 +2,10 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semitotal import (
+    Attach,
     CapacityError,
     Graph,
     bits_list,
@@ -11,13 +13,18 @@ from semitotal import (
     complete_bipartite,
     cycle,
     disjoint_copies,
+    disjoint_union,
     mask_from,
     path,
+    pendant_path_tree,
     petersen,
+    random_split_graph,
     star,
 )
+from semitotal.claims import _all_trees
 
 from conftest import graphs
+from corpus import full_corpus
 
 
 def test_constructor_rejects_asymmetry():
@@ -33,6 +40,11 @@ def test_constructor_rejects_self_loop():
 def test_constructor_rejects_out_of_range_bits():
     with pytest.raises(ValueError, match="references vertices"):
         Graph(2, [0b100, 0b000])
+
+
+def test_constructor_rejects_negative_rows():
+    with pytest.raises(ValueError, match="adjacency of vertex 0 is negative"):
+        Graph(2, [-1, 0])
 
 
 def test_capacity_limit():
@@ -169,3 +181,50 @@ def test_delete_composes(g):
         assert g2.adj == direct.adj
         composed = {v: map2[map1[v]] for v in map1 if map1[v] in map2}
         assert composed == map_direct
+
+
+# -- graphs built without the constructor's checks ---------------------------
+
+
+def assert_passes_public_checks(g):
+    assert isinstance(g.adj, tuple)
+    assert Graph(g.n, g.adj, g.name) == g
+
+
+@given(graphs(max_n=10), st.integers(min_value=0))
+@settings(max_examples=80, deadline=None)
+def test_deleted_residues_pass_public_checks(g, remove):
+    residue, _ = g.delete_vertices(remove & g.full_mask)
+    assert_passes_public_checks(residue)
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pairs, max_size=3 * n))
+
+
+@given(edge_lists())
+@settings(max_examples=80, deadline=None)
+def test_edge_list_graphs_pass_public_checks(case):
+    n, edges = case
+    assert_passes_public_checks(Graph.from_edges(n, edges))
+
+
+def test_enumerated_trees_pass_public_checks():
+    for n in range(1, 11):
+        for t in _all_trees(n):
+            assert_passes_public_checks(t)
+
+
+def test_family_and_product_builders_pass_public_checks():
+    built = full_corpus(10) + [
+        pendant_path_tree(path(3), [Attach.P2, Attach.P4, Attach.P2]),
+        random_split_graph(3, 4, 0.5, seed=7),
+        disjoint_copies(cycle(4), 2),
+        disjoint_union(path(3), star(2)),
+    ]
+    for g in built:
+        assert_passes_public_checks(g)

@@ -32,9 +32,11 @@ from semitotal import (
 
 from semitotal import domination
 from semitotal.domination import _solved_once
-from semitotal.stability import _lower_twins, _removal_sets
+from semitotal.graph import _lower_twins
+from semitotal.stability import _removal_sets
 
 from conftest import graphs, relabeled
+from corpus import full_corpus
 
 EXACT = WitnessRule.EXACTLY_TWO
 WITHIN = WitnessRule.WITHIN_TWO
@@ -235,6 +237,23 @@ def _twin_classes(g):
         else:
             classes.append([v])
     return classes
+
+
+def _lower_twins_by_definition(adj):
+    """The bit of each v's largest twin u < v, testing every pair: O(n^2)."""
+    return tuple(max((1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)), default=0)
+                 for v in range(len(adj)))
+
+
+@given(st.one_of(graphs(min_n=1, max_n=10), blown_up_graphs()))
+@settings(max_examples=150, deadline=None)
+def test_lower_twins_match_the_pairwise_definition(g):
+    assert _lower_twins(g.adj) == _lower_twins_by_definition(g.adj)
+
+
+def test_lower_twins_match_the_pairwise_definition_on_the_corpus():
+    for g in full_corpus():
+        assert _lower_twins(g.adj) == _lower_twins_by_definition(g.adj), g.name
 
 
 @given(st.one_of(graphs(min_n=2, max_n=8), blown_up_graphs().filter(lambda g: g.n <= 8)))
