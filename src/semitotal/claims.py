@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatch
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator
 
 from .domination import (
     Conventions,
@@ -85,39 +85,6 @@ class Claim:
     id: str
     description: str
     builder: Callable[[int, WitnessRule, Conventions], list[ClaimRow]]
-
-
-_R = TypeVar("_R")
-
-
-def _guarded(claim: str, instance: str, rule: str, predicted: str, build: Callable[[], _R],
-             note: str = "") -> _R | ClaimRow:
-    """Run ``build``; a typed computation error becomes one UNDEFINED row.
-
-    Any other exception is a programming error and propagates.
-    """
-    try:
-        return build()
-    except COMPUTATION_ERRORS as exc:
-        reason = f"{type(exc).__name__}: {exc}"
-        full = f"{note}; {reason}" if note else reason
-        return ClaimRow(claim, instance, rule, predicted, "error", "UNDEFINED", full)
-
-
-def _value_row(claim: str, instance: str, rule: str, predicted, compute: Callable[[], object],
-               note: str = "") -> ClaimRow:
-    """Compare ``compute()`` with ``predicted``; a None prediction gives an N/A row."""
-    shown = "none" if predicted is None else _show(predicted)
-
-    def build() -> ClaimRow:
-        actual = compute()
-        if predicted is None:
-            verdict = "N/A"
-        else:
-            verdict = "PASS" if actual == predicted else "FAIL"
-        return ClaimRow(claim, instance, rule, shown, _show(actual), verdict, note)
-
-    return _guarded(claim, instance, rule, shown, build, note)
 
 
 # -- shared oracles -------------------------------------------------------
@@ -322,41 +289,234 @@ def _pendant_trees(budget: int) -> Iterator[tuple[str, Graph]]:
         yield from _pendant_family_members(n)
 
 
-# -- swept claims ---------------------------------------------------------
+# -- sweeps ---------------------------------------------------------------
 #
-# A swept claim compares one oracle with a closed form over a family sweep.
-# Its entries yield (instance, graph, prediction, note) in report order, and
-# its check turns one entry into its rows under one rule.
+# Every claim is a sweep, or two run one after the other.  A sweep's entries
+# yield (instance, subject, prediction, note) in report order, where the
+# subject is what the check computes on (a graph, a pair of factors, an
+# order), and its check turns one entry into its rows under one rule.
 
-_Entry = tuple[str, Graph, object, str]
-_Check = Callable[[str, str, WitnessRule, Conventions, Graph, object, str], list[ClaimRow]]
-
-
-def _swept(cid: str, description: str, check: _Check, entries: Callable[[int], Iterable[_Entry]]) -> Claim:
-    def builder(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-        return [row for instance, g, predicted, note in entries(budget)
-                for row in check(cid, instance, rule, conv, g, predicted, note)]
-
-    return Claim(cid, description, builder)
+_Entry = tuple[str, object, object, str]
+_Check = Callable[[str, str, WitnessRule, Conventions, object, object, str], list[ClaimRow]]
+_Entries = Callable[[int], Iterable[_Entry]]
+_Sweep = tuple[_Check, _Entries]
 
 
-def _oracle_check(oracle: Callable[[Graph, WitnessRule, Conventions], int | None]) -> _Check:
-    def check(claim, instance, rule, conv, g, predicted, note):
-        return [_value_row(claim, instance, rule.value, predicted, lambda: oracle(g, rule, conv), note)]
-
-    return check
+def _noted(note: str, text: str) -> str:
+    return f"{note}; {text}" if note else text
 
 
-_value_check = _oracle_check(_gt2)
-_difference_check = _oracle_check(_difference)
+def _or_none(value) -> str:
+    return "none" if value is None else _show(value)
 
 
-def _stability_check(claim, instance, rule, conv, g, predicted, note):
-    return [_stab_value_row(claim, instance, rule, conv, g, predicted, note)]
+def _sweep_rows(cid: str, check: _Check, entries: Iterable[_Entry], rule: WitnessRule,
+                conv: Conventions) -> list[ClaimRow]:
+    """The rows of ``check`` over ``entries``; a typed computation error
+    becomes one UNDEFINED row for its entry.
+
+    This is the one place that catches; any other exception is a
+    programming error and propagates.
+    """
+    rows: list[ClaimRow] = []
+    for instance, subject, predicted, note in entries:
+        try:
+            rows.extend(check(cid, instance, rule, conv, subject, predicted, note))
+        except COMPUTATION_ERRORS as exc:
+            rows.append(ClaimRow(cid, instance, rule.value, _or_none(predicted), "error", "UNDEFINED",
+                                 _noted(note, f"{type(exc).__name__}: {exc}")))
+    return rows
+
+
+def _sweeps_rows(cid: str, sweeps: tuple[_Sweep, ...], budget: int, rule: WitnessRule,
+                 conv: Conventions) -> list[ClaimRow]:
+    return [row for check, entries in sweeps for row in _sweep_rows(cid, check, entries(budget), rule, conv)]
+
+
+def _swept(cid: str, description: str, check: _Check, entries: _Entries, *more: _Sweep) -> Claim:
+    """A claim of one sweep, or of several whose rows follow one another."""
+    sweeps = ((check, entries), *more)
+    return Claim(cid, description, lambda budget, rule, conv: _sweeps_rows(cid, sweeps, budget, rule, conv))
+
+
+# -- checks ---------------------------------------------------------------
+
+
+def _compared(claim: str, instance: str, rule: WitnessRule, predicted, actual, note: str) -> list[ClaimRow]:
+    """One row comparing ``actual`` with ``predicted``; a None prediction gives N/A."""
+    if predicted is None:
+        verdict = "N/A"
+    else:
+        verdict = "PASS" if actual == predicted else "FAIL"
+    return [ClaimRow(claim, instance, rule.value, _or_none(predicted), _show(actual), verdict, note)]
+
+
+def _value_check(claim, instance, rule, conv, g, predicted, note):
+    return _compared(claim, instance, rule, predicted, _gt2(g, rule, conv), note)
+
+
+def _difference_check(claim, instance, rule, conv, g, predicted, note):
+    return _compared(claim, instance, rule, predicted, _difference(g, rule, conv), note)
+
+
+def _arith_check(claim, instance, rule, conv, n, predicted, note):
+    """ceil(2n/5) - ceil(n/3) against a table row ('eq', v) or ('ge', v); None is no row."""
+    diff = _ceil(2 * n, 5) - _ceil(n, 3)
+    if predicted is None:
+        return _compared(claim, instance, rule, None, diff, "no table row covers this n")
+    kind, bound = predicted
+    if kind == "eq":
+        return _compared(claim, instance, rule, bound, diff, note)
+    verdict = "PASS" if diff >= bound else "FAIL"
+    return [ClaimRow(claim, instance, rule.value, f">= {bound}", str(diff), verdict, note)]
+
+
+def _gamma_check(claim, instance, rule, conv, g, predicted, note):
+    return _compared(claim, instance, rule, _gamma(g), _gt2(g, rule, conv), note)
+
+
+def _corona_check(claim, instance, rule, conv, factors, predicted, note):
+    g, h = factors
+    gv = _gt2(g, rule, conv)
+    hv = _gt2(h, rule, conv)
+    if gv is None or hv is None:
+        return [ClaimRow(claim, instance, rule.value, predicted, "undefined", "UNDEFINED",
+                         "a factor's semitotal number is undefined under this rule")]
+    bound = gv + hv * (g.n - gv)
+    actual = _gt2(corona(g, h), rule, conv)
+    if actual is None:
+        return [ClaimRow(claim, instance, rule.value, f"<= {bound}", "undefined", "UNDEFINED",
+                         "corona value undefined under this rule")]
+    if h.is_complete():
+        verdict = "PASS" if actual == bound else "FAIL"
+        return [ClaimRow(claim, instance, rule.value, f"= {bound}", str(actual), verdict,
+                         "equality required: the copy factor is complete")]
+    verdict = "PASS" if actual <= bound else "FAIL"
+    return [ClaimRow(claim, instance, rule.value, f"<= {bound}", str(actual), verdict)]
+
+
+def _join_check(claim, instance, rule, conv, factors, predicted, note):
+    g, h = factors
+    gv, hv = _gt2(g, rule, conv), _gt2(h, rule, conv)
+    if gv is None or hv is None:
+        return [ClaimRow(claim, instance, rule.value, predicted, "skipped", "UNDEFINED",
+                         "a factor's semitotal number is undefined under this rule")]
+    return _compared(claim, instance, rule, min(gv, hv, 4), _gt2(join(g, h), rule, conv), note)
+
+
+def _join_complete_check(claim, instance, rule, conv, factors, predicted, note):
+    g, h = factors
+    hv = _gt2(h, rule, conv)
+    if hv is None:
+        return [ClaimRow(claim, instance, rule.value, "undefined", "skipped", "UNDEFINED",
+                         "the non-complete factor's value is undefined under this rule")]
+    return _compared(claim, instance, rule, hv, _gt2(join(g, h), rule, conv), note)
 
 
 def _count_check(claim, instance, rule, conv, g, predicted, note):
-    return _count_compare_rows(claim, instance, rule, conv, g, predicted)
+    oracle = count_by_size(g, semitotal(rule), conv)
+    rows = []
+    for i in range(1, g.n + 1):
+        pred = predicted[i] if i < len(predicted) else 0
+        verdict = "PASS" if pred == oracle[i] else "FAIL"
+        negative = "predicted count is negative" if pred < 0 else ""
+        rows.append(ClaimRow(claim, f"{instance} i={i}", rule.value, str(pred), str(oracle[i]), verdict, negative))
+    return rows
+
+
+def _half_bound_check(claim, instance, rule, conv, g, predicted, note):
+    value = _gt2(g, rule, conv)
+    if value is None:
+        return [ClaimRow(claim, instance, rule.value, predicted, "undefined", "UNDEFINED",
+                         "no semitotal dominating set under this rule")]
+    verdict = "PASS" if 2 * value <= g.n else "FAIL"
+    return [ClaimRow(claim, instance, rule.value, predicted, str(value), verdict)]
+
+
+def _half_tree_check(claim, instance, rule, conv, t, predicted, note):
+    """A tree attaining half order must be a pendant-path tree or K1,3.  It
+    attains n/2 when the deepening from level n/2 - 1 finds no set there, then
+    one; a tree that does not attains gives no row."""
+    levels = _levels(t, semitotal(rule), t.n // 2 - 1)
+    if not (next(levels, 0) is None and next(levels) is not None):
+        return []
+    code = _tree_code(t)
+    member = code in _pendant_family_codes(t.n) or code == _tree_code(star(3))
+    verdict = "PASS" if member else "FAIL"
+    return [ClaimRow(claim, instance, rule.value, predicted, "attains n/2", verdict,
+                     "" if member else "tree attains half order but is outside the family")]
+
+
+def _negative_cycle_check(claim, instance, rule, conv, g, predicted, note):
+    value = _gt2(g, rule, conv)
+    verdict = "PASS" if value is not None and 2 * value != g.n else "FAIL"
+    return [ClaimRow(claim, instance, rule.value, predicted, _show(value), verdict, note)]
+
+
+def _poly_check(claim, instance, rule, conv, g, predicted, note):
+    d_plain = count_by_size(g, PLAIN, conv)
+    d_semi = count_by_size(g, semitotal(rule), conv)
+    gt2 = _gt2(g, rule, conv)
+    fd = d_plain.first_difference(d_semi)
+    verdict = "PASS" if fd is None else "FAIL"
+    if gt2 is None:
+        restricted = "undefined"
+    else:
+        restricted = str(all(d_plain[i] == d_semi[i] for i in range(gt2, g.n + 1)))
+    details = (
+        ("first_difference", _or_none(fd)),
+        ("gamma_t2", _show(gt2)),
+        ("equal_from_gamma_t2", restricted),
+    )
+    return [ClaimRow(claim, instance, rule.value, d_plain.format(), d_semi.format(), verdict,
+                     "literal claim is full equality; details give the restricted comparison", details)]
+
+
+def _split_check(claim, instance, rule, conv, g, predicted, note):
+    if has_dominating_vertex(g):
+        return [ClaimRow(claim, instance, rule.value, predicted, "skipped", "N/A",
+                         "instance has a dominating vertex")]
+    d_plain = count_by_size(g, PLAIN, conv)
+    d_total = count_by_size(g, TOTAL, conv)
+    d_semi = count_by_size(g, semitotal(rule), conv)
+    fd_t = d_plain.first_difference(d_total)
+    fd_s = d_plain.first_difference(d_semi)
+    verdict = "PASS" if fd_t is None and fd_s is None else "FAIL"
+    details = (
+        ("first_difference_plain_vs_semitotal", _or_none(fd_s)),
+        ("first_difference_plain_vs_total", _or_none(fd_t)),
+    )
+    return [ClaimRow(claim, instance, rule.value, d_plain.format(), d_semi.format(),
+                     verdict, "compares plain, total and semitotal counts", details)]
+
+
+def _stability_check(claim, instance, rule, conv, g, predicted, note):
+    hit = stability_witness(g, rule, conv, RemovalPolicy.SKIP_SET)
+    if hit is None:
+        return [ClaimRow(claim, instance, rule.value, _show(predicted), "undefined", "FAIL",
+                         _noted(note, "no removal changes the value"))]
+    k, witness = hit
+    verdict = "PASS" if k == predicted else "FAIL"
+    details = (("witness", str(bits_list(witness))),)
+    return [ClaimRow(claim, instance, rule.value, _show(predicted), str(k), verdict, note, details)]
+
+
+def corona_bound_check(
+    g: Graph,
+    h: Graph,
+    conv: Conventions = DEFAULT_CONVENTIONS,
+    rule: WitnessRule = WitnessRule.WITHIN_TWO,
+) -> ClaimRow:
+    """Check the corona upper bound, with equality required for complete h.
+
+    The bound is gt2(g) + gt2(h) * (|V(g)| - gt2(g)); gt2 of a complete h
+    comes from the singleton convention carried by ``conv``.
+    """
+    entry = (f"({g.name or 'G'})o({h.name or 'H'})", (g, h), "bound", "")
+    return _sweep_rows("T-corona", _corona_check, [entry], rule, conv)[0]
+
+
+# -- entries --------------------------------------------------------------
 
 
 _C3_NOTE = ("C3 = K3: the singleton convention (or, bare, the lack of distance-2 "
@@ -377,6 +537,131 @@ def _t1_v_entries(budget: int) -> Iterator[_Entry]:
             yield g.name, g, 4, ""
         else:
             yield g.name, g, None, "parameters outside the stated cases (m <= 4 < n)"
+
+
+def _path_difference_prediction(n: int):
+    """Table row for ceil(2n/5) - ceil(n/3) on paths: ('eq', v), ('ge', 6) or None."""
+    if n in (4, 5, 7, 10):
+        return ("eq", 0)
+    if 6 <= n <= 22 and n not in (7, 10, 18, 21):
+        return ("eq", 1)
+    if 23 <= n <= 37 and n not in (25, 33, 36):
+        return ("eq", 2)
+    if 38 <= n <= 52 and n not in (40, 48, 51):
+        return ("eq", 3)
+    if 53 <= n <= 67 and n not in (55, 63, 66):
+        return ("eq", 4)
+    if 68 <= n <= 82 and n not in (70, 78, 81):
+        return ("eq", 5)
+    if n >= 83 and n != 85:
+        return ("ge", 6)
+    return None
+
+
+# The table's explicit rows stop at n = 82 plus an open-ended row from 83;
+# the arithmetic side costs nothing, so it always covers n <= 90, and the
+# solver side checks every "eq" row up to the budget.
+def _t22_i_arith_entries(budget: int) -> Iterator[_Entry]:
+    return ((f"arith n={n}", n, _path_difference_prediction(n), "") for n in range(4, 91))
+
+
+def _t22_i_solver_entries(budget: int) -> Iterator[_Entry]:
+    for n in range(4, budget + 1):
+        pred = _path_difference_prediction(n)
+        if pred is not None and pred[0] == "eq":
+            yield f"solver n={n}", path(n), pred[1], ""
+
+
+def _corona_entries(budget: int) -> Iterator[_Entry]:
+    firsts = [path(2), path(3), path(4), cycle(3), cycle(4), cycle(5), star(3)]
+    seconds = [complete(1), complete(2), complete(3), path(3), star(3)]
+    return ((f"({g.name})o({h.name})", (g, h), "bound", "")
+            for g in firsts for h in seconds if g.n * (1 + h.n) <= budget)
+
+
+def _noncomplete_catalog() -> list[Graph]:
+    return [path(3), path(4), path(5), path(6), path(7), cycle(4), cycle(5), cycle(6), star(3)]
+
+
+def _join_entries(budget: int) -> Iterator[_Entry]:
+    cat = _noncomplete_catalog()
+    return ((f"({g.name})v({h.name})", (g, h), "min", "")
+            for i, g in enumerate(cat) for h in cat[i:] if g.n + h.n <= budget)
+
+
+def _join_complete_entries(budget: int) -> Iterator[_Entry]:
+    return ((f"({g.name})v({h.name})", (g, h), "H's value", "")
+            for g in map(complete, (1, 2, 3)) for h in _noncomplete_catalog() if g.n + h.n <= budget)
+
+
+def _grid_prediction(n: int, m: int) -> int:
+    a = _ceil(2 * n, 5)
+    return a * _ceil(m, 3) + (m // 3) * (n - a)
+
+
+def _connected_catalog(budget: int) -> Iterator[Graph]:
+    yield from map(path, range(4, budget + 1))
+    yield from map(cycle, range(4, budget + 1))
+    for sweep in (_stars(budget), _kmns(budget), _wheels(budget), _friendships(budget), _books(budget)):
+        yield from (entry[-1] for entry in sweep)
+    yield from map(complete, range(4, budget + 1))
+    if budget >= 10:
+        yield petersen()
+
+
+def _forward_tree_entries(budget: int) -> Iterator[_Entry]:
+    """Every pendant-path tree attains half order."""
+    return ((f"forward {label}", t, t.n // 2, "") for label, t in _pendant_trees(budget))
+
+
+def _reverse_tree_entries(budget: int) -> Iterator[_Entry]:
+    # An odd order is never twice a value, so only even orders give rows.
+    return ((f"reverse tree{n}#{idx}", t, "pendant-path family or K1,3", "")
+            for n in range(4, min(budget, _TREE_CAP) + 1, 2) for idx, t in enumerate(_all_trees(n)))
+
+
+def _half_graph_entries(budget: int) -> Iterator[_Entry]:
+    """The named members of the family: C6, C8, the K4 spanning subgraphs of
+    minimum degree 2 and the rooted 4-cycle products."""
+    for n in (6, 8):
+        if n <= budget:
+            yield f"C{n}", cycle(n), n // 2, ""
+    if budget >= 4:
+        seen: list[Graph] = []
+        pairs = list(combinations(range(4), 2))
+        for bits in range(64):
+            g = Graph.from_edges(4, [pairs[i] for i in range(6) if bits >> i & 1])
+            if not g.is_connected() or min(g.degree(v) for v in range(4)) < 2:
+                continue
+            if any(_isomorphic(g, s) for s in seen):
+                continue
+            seen.append(g)
+            yield (f"K4 spanning subgraph m={g.edge_count()}", g, 2,
+                   "convention gate disabled" if g.is_complete() else "")
+    for big in _diamonds(budget):
+        yield big.name, big, big.n // 2, ""
+
+
+def _negative_cycle_entries(budget: int) -> Iterator[_Entry]:
+    return ((f"negative C{n}", cycle(n), f"!= {n}/2", "cycles outside the family must not attain half order")
+            for n in range(10, budget + 1, 2))
+
+
+_SPLIT_PARAMS = (
+    (3, 2, 0.7, 126),
+    (3, 3, 0.6, 104),
+    (3, 4, 0.6, 102),
+    (4, 3, 0.5, 101),
+    (4, 4, 0.6, 102),
+    (4, 5, 0.5, 100),
+    (5, 4, 0.5, 100),
+    (5, 5, 0.4, 100),
+)
+
+
+def _split_entries(budget: int) -> Iterator[_Entry]:
+    return ((f"split({c},{i},p={p},seed={seed})", random_split_graph(c, i, p, seed), "equal polynomials", "")
+            for c, i, p, seed in _SPLIT_PARAMS if c + i <= budget)
 
 
 def _stab_kmn_entries(budget: int) -> Iterator[_Entry]:
@@ -412,296 +697,24 @@ def _fbs_entries(budget: int) -> Iterator[_Entry]:
         yield g.name, g, 1, ""
 
 
-def _grid_prediction(n: int, m: int) -> int:
-    a = _ceil(2 * n, 5)
-    return a * _ceil(m, 3) + (m // 3) * (n - a)
+# -- half-order characterizations -------------------------------------------
 
 
-# -- bespoke claim builders -----------------------------------------------
-
-
-def _path_difference_prediction(n: int):
-    """Table row for ceil(2n/5) - ceil(n/3) on paths: ('eq', v), ('ge', 6) or None."""
-    if n in (4, 5, 7, 10):
-        return ("eq", 0)
-    if 6 <= n <= 22 and n not in (7, 10, 18, 21):
-        return ("eq", 1)
-    if 23 <= n <= 37 and n not in (25, 33, 36):
-        return ("eq", 2)
-    if 38 <= n <= 52 and n not in (40, 48, 51):
-        return ("eq", 3)
-    if 53 <= n <= 67 and n not in (55, 63, 66):
-        return ("eq", 4)
-    if 68 <= n <= 82 and n not in (70, 78, 81):
-        return ("eq", 5)
-    if n >= 83 and n != 85:
-        return ("ge", 6)
-    return None
-
-
-def _rows_t22_i(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    # The table's explicit rows stop at n = 82 plus an open-ended row from 83;
-    # the arithmetic side costs nothing, so it always covers n <= 90, and the
-    # solver side checks every "eq" row up to the budget.
-    rows = []
-    for n in range(4, 91):
-        pred = _path_difference_prediction(n)
-        diff = _ceil(2 * n, 5) - _ceil(n, 3)
-        if pred is None:
-            rows.append(
-                ClaimRow("T2.2.i", f"arith n={n}", rule.value, "none", str(diff), "N/A",
-                         "no table row covers this n")
-            )
-        elif pred[0] == "eq":
-            verdict = "PASS" if diff == pred[1] else "FAIL"
-            rows.append(ClaimRow("T2.2.i", f"arith n={n}", rule.value, str(pred[1]), str(diff), verdict))
-        else:
-            verdict = "PASS" if diff >= pred[1] else "FAIL"
-            rows.append(ClaimRow("T2.2.i", f"arith n={n}", rule.value, f">= {pred[1]}", str(diff), verdict))
-    for n in range(4, budget + 1):
-        pred = _path_difference_prediction(n)
-        if pred is None or pred[0] != "eq":
-            continue
-        g = path(n)
-        rows.append(
-            _value_row("T2.2.i", f"solver n={n}", rule.value, pred[1],
-                       lambda g=g: _difference(g, rule, conv))
-        )
-    return rows
-
-
-def _rows_t22_ii(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    if budget < 10:
-        return []
-    g = petersen()
-    gamma = _guarded("T2.2.ii", "Petersen", rule.value, "domination number", lambda: _gamma(g))
-    if isinstance(gamma, ClaimRow):
-        return [gamma]
-    return [_value_row("T2.2.ii", "Petersen", rule.value, gamma, lambda: _gt2(g, rule, conv))]
-
-
-def corona_bound_check(
-    g: Graph,
-    h: Graph,
-    conv: Conventions = DEFAULT_CONVENTIONS,
-    rule: WitnessRule = WitnessRule.WITHIN_TWO,
-) -> ClaimRow:
-    """Check the corona upper bound, with equality required for complete h.
-
-    The bound is gt2(g) + gt2(h) * (|V(g)| - gt2(g)); gt2 of a complete h
-    comes from the singleton convention carried by ``conv``.
-    """
-    instance = f"({g.name or 'G'})o({h.name or 'H'})"
-
-    def build() -> ClaimRow:
-        gv = _gt2(g, rule, conv)
-        hv = _gt2(h, rule, conv)
-        if gv is None or hv is None:
-            return ClaimRow("T-corona", instance, rule.value, "bound", "undefined", "UNDEFINED",
-                            "a factor's semitotal number is undefined under this rule")
-        bound = gv + hv * (g.n - gv)
-        actual = _gt2(corona(g, h), rule, conv)
-        if actual is None:
-            return ClaimRow("T-corona", instance, rule.value, f"<= {bound}", "undefined", "UNDEFINED",
-                            "corona value undefined under this rule")
-        if h.is_complete():
-            verdict = "PASS" if actual == bound else "FAIL"
-            return ClaimRow("T-corona", instance, rule.value, f"= {bound}", str(actual), verdict,
-                            "equality required: the copy factor is complete")
-        verdict = "PASS" if actual <= bound else "FAIL"
-        return ClaimRow("T-corona", instance, rule.value, f"<= {bound}", str(actual), verdict)
-
-    return _guarded("T-corona", instance, rule.value, "bound", build)
-
-
-def _rows_corona(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    firsts = [path(2), path(3), path(4), cycle(3), cycle(4), cycle(5), star(3)]
-    seconds = [complete(1), complete(2), complete(3), path(3), star(3)]
-    rows = []
-    for g in firsts:
-        for h in seconds:
-            if g.n * (1 + h.n) <= budget:
-                rows.append(corona_bound_check(g, h, conv, rule))
-    return rows
-
-
-def _noncomplete_catalog() -> list[Graph]:
-    return [path(3), path(4), path(5), path(6), path(7), cycle(4), cycle(5), cycle(6), star(3)]
-
-
-def _rows_join(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    cat = _noncomplete_catalog()
-    rows = []
-    for i, g in enumerate(cat):
-        for h in cat[i:]:
-            if g.n + h.n > budget:
-                continue
-            instance = f"({g.name})v({h.name})"
-            factors = _guarded("T-join", instance, rule.value, "min",
-                               lambda g=g, h=h: (_gt2(g, rule, conv), _gt2(h, rule, conv)))
-            if isinstance(factors, ClaimRow):
-                rows.append(factors)
-                continue
-            gv, hv = factors
-            if gv is None or hv is None:
-                rows.append(ClaimRow("T-join", instance, rule.value, "min", "skipped", "UNDEFINED",
-                                     "a factor's semitotal number is undefined under this rule"))
-                continue
-            rows.append(_value_row("T-join", instance, rule.value, min(gv, hv, 4),
-                                   lambda g=g, h=h: _gt2(join(g, h), rule, conv)))
-    return rows
-
-
-def _rows_join_complete(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for k in (1, 2, 3):
-        g = complete(k)
-        for h in _noncomplete_catalog():
-            if g.n + h.n > budget:
-                continue
-            instance = f"({g.name})v({h.name})"
-            hv = _guarded("T-joinK", instance, rule.value, "H's value", lambda h=h: _gt2(h, rule, conv))
-            if isinstance(hv, ClaimRow):
-                rows.append(hv)
-                continue
-            if hv is None:
-                rows.append(ClaimRow("T-joinK", instance, rule.value, "undefined", "skipped", "UNDEFINED",
-                                     "the non-complete factor's value is undefined under this rule"))
-                continue
-            rows.append(_value_row("T-joinK", instance, rule.value, hv,
-                                   lambda g=g, h=h: _gt2(join(g, h), rule, conv)))
-    return rows
-
-
-def _count_compare_rows(
-    claim: str,
-    instance: str,
-    rule: WitnessRule,
-    conv: Conventions,
-    g: Graph,
-    predicted: CountPolynomial,
-) -> list[ClaimRow]:
-    def build() -> list[ClaimRow]:
-        oracle = count_by_size(g, semitotal(rule), conv)
-        rows = []
-        for i in range(1, g.n + 1):
-            pred = predicted[i] if i < len(predicted) else 0
-            verdict = "PASS" if pred == oracle[i] else "FAIL"
-            note = "predicted count is negative" if pred < 0 else ""
-            rows.append(ClaimRow(claim, f"{instance} i={i}", rule.value, str(pred), str(oracle[i]), verdict, note))
-        return rows
-
-    rows = _guarded(claim, instance, rule.value, predicted.format(), build)
-    return rows if isinstance(rows, list) else [rows]
-
-
-def _connected_catalog(budget: int) -> Iterator[Graph]:
-    yield from map(path, range(4, budget + 1))
-    yield from map(cycle, range(4, budget + 1))
-    for sweep in (_stars(budget), _kmns(budget), _wheels(budget), _friendships(budget), _books(budget)):
-        yield from (entry[-1] for entry in sweep)
-    yield from map(complete, range(4, budget + 1))
-    if budget >= 10:
-        yield petersen()
-
-
-def _half_bound_row(g: Graph, rule: WitnessRule, conv: Conventions) -> ClaimRow:
-    value = _gt2(g, rule, conv)
-    if value is None:
-        return ClaimRow("L-half", g.name, rule.value, f"<= {g.n}/2", "undefined", "UNDEFINED",
-                        "no semitotal dominating set under this rule")
-    verdict = "PASS" if 2 * value <= g.n else "FAIL"
-    return ClaimRow("L-half", g.name, rule.value, f"<= {g.n}/2", str(value), verdict)
-
-
-def _rows_half_bound(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    return [_guarded("L-half", g.name, rule.value, f"<= {g.n}/2", lambda g=g: _half_bound_row(g, rule, conv))
-            for g in _connected_catalog(budget)]
-
-
-_NEGATIVE_NOTE = "cycles outside the family must not attain half order"
-
-
-def _negative_cycle_row(n: int, rule: WitnessRule, conv: Conventions) -> ClaimRow:
-    value = _gt2(cycle(n), rule, conv)
-    verdict = "PASS" if value is not None and 2 * value != n else "FAIL"
-    return ClaimRow("T-halfgraph", f"negative C{n}", rule.value, f"!= {n}/2", _show(value), verdict, _NEGATIVE_NOTE)
+_HALF_SWEEPS: dict[str, tuple[_Sweep, ...]] = {
+    "T-half": ((_value_check, _forward_tree_entries), (_half_tree_check, _reverse_tree_entries)),
+    "T-halfgraph": ((_value_check, _half_graph_entries), (_negative_cycle_check, _negative_cycle_entries)),
+}
 
 
 @lru_cache(maxsize=None)
 def _half_rows(budget: int, rule: WitnessRule, claim: str) -> tuple[ClaimRow, ...]:
     """Rows of the half-order characterization ``claim``, T-half or
     T-halfgraph (bare conventions); each claim computes only its own rows."""
-    return tuple(_HALF_ROW_BUILDERS[claim](budget, rule))
+    return tuple(_sweeps_rows(claim, _HALF_SWEEPS[claim], budget, rule, _BARE))
 
 
-def _tree_half_rows(budget: int, rule: WitnessRule) -> list[ClaimRow]:
-    """Forward: every pendant-path tree attains half order.  Reverse (trees
-    only): every tree attaining half order is a pendant-path tree or the
-    3-leaf star."""
-    conv = _BARE
-    rows: list[ClaimRow] = []
-    for label, t in _pendant_trees(budget):
-        rows.append(_value_row("T-half", f"forward {label}", rule.value, t.n // 2,
-                               lambda t=t: _gt2(t, rule, conv)))
-    # An odd order is never twice a value, so only even orders give rows.
-    # A tree attains n/2 when the deepening from level n/2 - 1 finds no set there, then one.
-    variant = semitotal(rule)
-    for n in range(4, min(budget, _TREE_CAP) + 1, 2):
-        half = n // 2
-        for idx, t in enumerate(_all_trees(n)):
-            instance, predicted = f"reverse tree{n}#{idx}", "pendant-path family or K1,3"
-            attains = _guarded("T-half", instance, rule.value, predicted, lambda t=t: (
-                next(levels := _levels(t, variant, half - 1), 0) is None and next(levels) is not None))
-            if isinstance(attains, ClaimRow):
-                rows.append(attains)
-                continue
-            if not attains:
-                continue
-            code = _tree_code(t)
-            member = code in _pendant_family_codes(n) or code == _tree_code(star(3))
-            verdict = "PASS" if member else "FAIL"
-            rows.append(ClaimRow("T-half", instance, rule.value, predicted, "attains n/2", verdict,
-                                 "" if member else "tree attains half order but is outside the family"))
-    return rows
-
-
-def _graph_half_rows(budget: int, rule: WitnessRule) -> list[ClaimRow]:
-    """The named members attain half order: C6, C8, the K4 spanning subgraphs
-    and the rooted 4-cycle products; as negative checks, even cycles outside
-    the family do not."""
-    conv = _BARE
-    rows: list[ClaimRow] = []
-    for n in (6, 8):
-        if n <= budget:
-            rows.append(_value_row("T-halfgraph", f"C{n}", rule.value, n // 2,
-                                   lambda n=n: _gt2(cycle(n), rule, conv)))
-    if budget >= 4:
-        seen: list[Graph] = []
-        for bits in range(64):
-            pairs = list(combinations(range(4), 2))
-            edges = [pairs[i] for i in range(6) if bits >> i & 1]
-            g = Graph.from_edges(4, edges)
-            if not g.is_connected() or min(g.degree(v) for v in range(4)) < 2:
-                continue
-            if any(_isomorphic(g, s) for s in seen):
-                continue
-            seen.append(g)
-            rows.append(_value_row("T-halfgraph", f"K4 spanning subgraph m={g.edge_count()}",
-                                   rule.value, 2, lambda g=g: _gt2(g, rule, conv),
-                                   note="convention gate disabled" if g.is_complete() else ""))
-    for big in _diamonds(budget):
-        rows.append(_value_row("T-halfgraph", big.name, rule.value, big.n // 2,
-                               lambda big=big: _gt2(big, rule, conv)))
-    for n in range(4, budget + 1, 2):
-        if n in (4, 6, 8):
-            continue
-        rows.append(_guarded("T-halfgraph", f"negative C{n}", rule.value, f"!= {n}/2",
-                             lambda n=n: _negative_cycle_row(n, rule, conv), _NEGATIVE_NOTE))
-    return rows
-
-
-_HALF_ROW_BUILDERS = {"T-half": _tree_half_rows, "T-halfgraph": _graph_half_rows}
+def _half_claim(cid: str, description: str) -> Claim:
+    return Claim(cid, description, lambda budget, rule, conv: list(_half_rows(budget, rule, cid)))
 
 
 def half_order_characterization_check(
@@ -709,120 +722,9 @@ def half_order_characterization_check(
     rules: tuple[WitnessRule, ...] = (WitnessRule.WITHIN_TWO,),
 ) -> "VerificationReport":
     """Standalone run of the half-order characterization claims."""
-    rows: list[ClaimRow] = []
-    for rule in rules:
-        for claim in _HALF_ROW_BUILDERS:
-            rows.extend(_half_rows(budget, rule, claim))
+    _check_budget(budget)
+    rows = [row for rule in rules for claim in _HALF_SWEEPS for row in _half_rows(budget, rule, claim)]
     return VerificationReport(rows, ["T-half", "T-halfgraph"], "T-half*", budget, _BARE)
-
-
-def _rows_t_half(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    return list(_half_rows(budget, rule, "T-half"))
-
-
-def _rows_t_halfgraph(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    return list(_half_rows(budget, rule, "T-halfgraph"))
-
-
-def _poly_equality_row(
-    claim: str,
-    instance: str,
-    rule: WitnessRule,
-    conv: Conventions,
-    g: Graph,
-) -> ClaimRow:
-    def build() -> ClaimRow:
-        d_plain = count_by_size(g, PLAIN, conv)
-        d_semi = count_by_size(g, semitotal(rule), conv)
-        gt2 = _gt2(g, rule, conv)
-        fd = d_plain.first_difference(d_semi)
-        verdict = "PASS" if fd is None else "FAIL"
-        if gt2 is None:
-            restricted = "undefined"
-        else:
-            restricted = str(all(d_plain[i] == d_semi[i] for i in range(gt2, g.n + 1)))
-        details = (
-            ("first_difference", "none" if fd is None else str(fd)),
-            ("gamma_t2", _show(gt2)),
-            ("equal_from_gamma_t2", restricted),
-        )
-        return ClaimRow(claim, instance, rule.value, d_plain.format(), d_semi.format(), verdict,
-                        "literal claim is full equality; details give the restricted comparison", details)
-
-    return _guarded(claim, instance, rule.value, "equal polynomials", build)
-
-
-def _rows_poly_trees(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    return [_poly_equality_row("T-poly-T", label, rule, conv, t) for label, t in _pendant_trees(budget)]
-
-
-def _rows_poly_diamond(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    return [_poly_equality_row("T-poly-diamond", big.name, rule, conv, big) for big in _diamonds(budget)]
-
-
-_SPLIT_PARAMS = (
-    (3, 2, 0.7, 126),
-    (3, 3, 0.6, 104),
-    (3, 4, 0.6, 102),
-    (4, 3, 0.5, 101),
-    (4, 4, 0.6, 102),
-    (4, 5, 0.5, 100),
-    (5, 4, 0.5, 100),
-    (5, 5, 0.4, 100),
-)
-
-
-def _split_row(instance: str, rule: WitnessRule, conv: Conventions, g: Graph) -> ClaimRow:
-    d_plain = count_by_size(g, PLAIN, conv)
-    d_total = count_by_size(g, TOTAL, conv)
-    d_semi = count_by_size(g, semitotal(rule), conv)
-    fd_t = d_plain.first_difference(d_total)
-    fd_s = d_plain.first_difference(d_semi)
-    verdict = "PASS" if fd_t is None and fd_s is None else "FAIL"
-    details = (
-        ("first_difference_plain_vs_semitotal", "none" if fd_s is None else str(fd_s)),
-        ("first_difference_plain_vs_total", "none" if fd_t is None else str(fd_t)),
-    )
-    return ClaimRow("T-split", instance, rule.value, d_plain.format(), d_semi.format(),
-                    verdict, "compares plain, total and semitotal counts", details)
-
-
-def _rows_split(budget: int, rule: WitnessRule, conv: Conventions) -> list[ClaimRow]:
-    rows = []
-    for c, i, p, seed in _SPLIT_PARAMS:
-        if c + i > budget:
-            continue
-        g = random_split_graph(c, i, p, seed)
-        instance = f"split({c},{i},p={p},seed={seed})"
-        if has_dominating_vertex(g):
-            rows.append(ClaimRow("T-split", instance, rule.value, "equal polynomials", "skipped",
-                                 "N/A", "instance has a dominating vertex"))
-            continue
-        rows.append(_guarded("T-split", instance, rule.value, "equal polynomials",
-                             lambda g=g, instance=instance: _split_row(instance, rule, conv, g)))
-    return rows
-
-
-def _stab_value_row(
-    claim: str,
-    instance: str,
-    rule: WitnessRule,
-    conv: Conventions,
-    g: Graph,
-    predicted: int,
-    note: str = "",
-) -> ClaimRow:
-    def build() -> ClaimRow:
-        hit = stability_witness(g, rule, conv, RemovalPolicy.SKIP_SET)
-        if hit is None:
-            return ClaimRow(claim, instance, rule.value, _show(predicted), "undefined", "FAIL",
-                            (note + "; " if note else "") + "no removal changes the value")
-        k, witness = hit
-        verdict = "PASS" if k == predicted else "FAIL"
-        details = (("witness", str(bits_list(witness))),)
-        return ClaimRow(claim, instance, rule.value, _show(predicted), str(k), verdict, note, details)
-
-    return _guarded(claim, instance, rule.value, _show(predicted), build, note)
 
 
 # -- registry and runner --------------------------------------------------
@@ -841,8 +743,10 @@ REGISTRY: dict[str, Claim] = {
         _swept("T1.iv", "book graph with n pages: semitotal number equals n+1", _value_check,
                lambda b: ((g.name, g, n + 1, "") for n, g in _books(b))),
         _swept("T1.v", "complete bipartite: min(m,n) for 2<=m,n<=4; 4 for m,n>=5", _value_check, _t1_v_entries),
-        Claim("T2.2.i", "paths: semitotal minus plain follows a piecewise range table", _rows_t22_i),
-        Claim("T2.2.ii", "Petersen graph: semitotal number equals domination number", _rows_t22_ii),
+        _swept("T2.2.i", "paths: semitotal minus plain follows a piecewise range table", _arith_check,
+               _t22_i_arith_entries, (_difference_check, _t22_i_solver_entries)),
+        _swept("T2.2.ii", "Petersen graph: semitotal number equals domination number", _gamma_check,
+               lambda b: [("Petersen", petersen(), "domination number", "")] if b >= 10 else []),
         _swept("T2.2.iii", "books: semitotal number exceeds domination number by n-1", _difference_check,
                lambda b: ((g.name, g, n - 1, "") for n, g in _books(b))),
         _swept("T2.2.iv", "friendship graphs: semitotal minus domination equals n-1", _difference_check,
@@ -857,9 +761,12 @@ REGISTRY: dict[str, Claim] = {
                           for n, g in _wheels(b))),
         _swept("T2.2.vii", "complete bipartite: difference is m-2 for m<=4, else 2", _difference_check,
                lambda b: ((g.name, g, m - 2 if m <= 4 else 2, "") for m, n, g in _kmns(b))),
-        Claim("T-corona", "corona: value at most gt2(G)+gt2(H)(|G|-gt2(G)), sharp for complete H", _rows_corona),
-        Claim("T-join", "join of non-complete graphs of order >=3: min of factor values and 4", _rows_join),
-        Claim("T-joinK", "complete graph joined to non-complete H: value equals H's value", _rows_join_complete),
+        _swept("T-corona", "corona: value at most gt2(G)+gt2(H)(|G|-gt2(G)), sharp for complete H", _corona_check,
+               _corona_entries),
+        _swept("T-join", "join of non-complete graphs of order >=3: min of factor values and 4", _join_check,
+               _join_entries),
+        _swept("T-joinK", "complete graph joined to non-complete H: value equals H's value", _join_complete_check,
+               _join_complete_entries),
         _swept("T-grid", "path grid: ceil(2n/5)*ceil(m/3) + floor(m/3)*(n-ceil(2n/5))", _value_check,
                lambda b: ((f"P{n} x P{m}", g, _grid_prediction(n, m), "") for n, m, g in _grids(b))),
         _swept("C-COUNT-star", "stars: the n leaves form the only semitotal dominating set", _count_check,
@@ -872,15 +779,17 @@ REGISTRY: dict[str, Claim] = {
                           for m, n, g in _kmns(b, lo=4))),
         _swept("C-COUNT-Fn", "friendship counts: 2^n * C(n, i-n) sets of size i", _count_check,
                lambda b: ((g.name, g, closed_form("friendship", n=n), "") for n, g in _friendships(b))),
-        Claim("L-half", "connected graphs on n>=4 vertices: semitotal number at most n/2", _rows_half_bound),
-        Claim("T-half", "trees attaining half order: pendant-path family or the 3-leaf star", _rows_t_half),
-        Claim("T-halfgraph", "min-degree-2 graphs attaining half order: C6, C8, K4 spanning subgraphs, "
-              "rooted 4-cycle products", _rows_t_halfgraph),
-        Claim("T-poly-T", "pendant-path trees: semitotal count polynomial equals the plain one", _rows_poly_trees),
-        Claim("T-poly-diamond", "rooted 4-cycle products: semitotal count polynomial equals the plain one",
-              _rows_poly_diamond),
-        Claim("T-split", "connected split graphs without a dominating vertex: plain, total and semitotal "
-              "counts coincide", _rows_split),
+        _swept("L-half", "connected graphs on n>=4 vertices: semitotal number at most n/2", _half_bound_check,
+               lambda b: ((g.name, g, f"<= {g.n}/2", "") for g in _connected_catalog(b))),
+        _half_claim("T-half", "trees attaining half order: pendant-path family or the 3-leaf star"),
+        _half_claim("T-halfgraph", "min-degree-2 graphs attaining half order: C6, C8, K4 spanning subgraphs, "
+                    "rooted 4-cycle products"),
+        _swept("T-poly-T", "pendant-path trees: semitotal count polynomial equals the plain one", _poly_check,
+               lambda b: ((label, t, "equal polynomials", "") for label, t in _pendant_trees(b))),
+        _swept("T-poly-diamond", "rooted 4-cycle products: semitotal count polynomial equals the plain one",
+               _poly_check, lambda b: ((big.name, big, "equal polynomials", "") for big in _diamonds(b))),
+        _swept("T-split", "connected split graphs without a dominating vertex: plain, total and semitotal "
+               "counts coincide", _split_check, _split_entries),
         _swept("T4-stab-Kmn", "complete bipartite stability: 0 / 1 / m-3 by small-part size", _stability_check,
                _stab_kmn_entries),
         _swept("T4-stab-path", "path stability by n mod 5: 1, 2 or 3", _stability_check,
@@ -903,6 +812,14 @@ def claim_ids() -> list[str]:
     return list(REGISTRY)
 
 
+def _check_budget(budget: int) -> None:
+    """A negative budget raises ValueError, one above the word budget CapacityError."""
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+    if budget > WORD_BITS:
+        raise CapacityError(f"budget {budget} is above the word budget of {WORD_BITS} vertices")
+
+
 def run_claims(
     pattern: str = "*",
     budget: int = 12,
@@ -914,10 +831,7 @@ def run_claims(
     share a table of results (``domination._solved_once``) that lives only
     for the length of the call.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
-    if budget > WORD_BITS:
-        raise CapacityError(f"budget {budget} is above the word budget of {WORD_BITS} vertices")
+    _check_budget(budget)
     selected = [c for cid, c in REGISTRY.items() if fnmatch(cid, pattern)]
     rows: list[ClaimRow] = []
     with _solved_once():

@@ -16,6 +16,7 @@ import pytest
 
 from semitotal import (
     BudgetExceededError,
+    CapacityError,
     Conventions,
     Graph,
     PLAIN,
@@ -228,15 +229,6 @@ def test_empty_pattern_yields_empty_report():
     assert report.to_csv().splitlines() == ["claim,instance,rule,predicted,oracle,verdict,note"]
 
 
-def test_programming_error_in_oracle_propagates(monkeypatch):
-    def broken(*args, **kwargs):
-        raise TypeError("broken oracle")
-
-    monkeypatch.setattr("semitotal.claims.domination_number", broken)
-    with pytest.raises(TypeError, match="broken oracle"):
-        run_claims("T1.iii", budget=7)
-
-
 @pytest.fixture
 def fresh_half_rows():
     # _half_rows is cached per (budget, rule, claim): rows computed with a patched
@@ -246,53 +238,77 @@ def fresh_half_rows():
     claims._half_rows.cache_clear()
 
 
-# Patterns whose oracle call once sat outside _guarded, so that the error
-# ended the run: the budget at which they have rows, and the instance whose
-# row the error now reaches.
+# Every oracle a claim check calls; T-half's reverse sweep deepens from n/2 - 1
+# members through _levels, not for the number.
+ORACLES = ("domination_number", "count_by_size", "stability_witness", "_levels")
+
+# Instances whose oracle error once ended the run or met a guard of its own
+# builder: the error must reach each of them as a row.
 FORMERLY_UNGUARDED = {
-    "T-join": (7, "(P3)v(P3)"),
-    "T-joinK": (7, "(K1)v(P3)"),
-    "T2.2.ii": (10, "Petersen"),
-    "T-half": (7, "reverse tree4#0"),
-    "T-halfgraph": (10, "negative C10"),
+    "T-join": "(P3)v(P3)",
+    "T-joinK": "(K1)v(P3)",
+    "T2.2.ii": "Petersen",
+    "T-half": "reverse tree4#0",
+    "T-halfgraph": "negative C10",
 }
 
+# The single oracle through which twelve patterns reach their errors, then
+# every oracle at once for each claim.
+ERROR_CASES = [pytest.param(oracles, pattern, id=f"{oracles[0]}-{pattern}") for oracles, pattern in [
+    (("domination_number",), "T1.*"),
+    (("domination_number",), "L-half"),
+    (("domination_number",), "T-corona"),
+    (("domination_number",), "T-join"),
+    (("domination_number",), "T-joinK"),
+    (("domination_number",), "T2.2.ii"),
+    (("domination_number", "_levels"), "T-half"),
+    (("domination_number",), "T-halfgraph"),
+    (("count_by_size",), "C-COUNT-Fn"),
+    (("count_by_size",), "T-poly-diamond"),
+    (("count_by_size",), "T-split"),
+    (("stability_witness",), "T4-stab-FBS"),
+]] + [pytest.param(ORACLES, cid, id=cid) for cid in claim_ids()]
 
-@pytest.mark.parametrize("oracle, pattern", [
-    ("domination_number", "T1.*"),
-    ("domination_number", "L-half"),
-    ("domination_number", "T-corona"),
-    ("domination_number", "T-join"),
-    ("domination_number", "T-joinK"),
-    ("domination_number", "T2.2.ii"),
-    ("domination_number", "T-half"),
-    ("domination_number", "T-halfgraph"),
-    ("count_by_size", "C-COUNT-Fn"),
-    ("count_by_size", "T-poly-diamond"),
-    ("count_by_size", "T-split"),
-    ("stability_witness", "T4-stab-FBS"),
-])
-def test_typed_error_becomes_undefined_row(monkeypatch, fresh_half_rows, oracle, pattern):
-    def over_budget(*args, **kwargs):
-        raise BudgetExceededError("too large")
 
-    budget, site = FORMERLY_UNGUARDED.get(pattern, (7, None))
-    monkeypatch.setattr(f"semitotal.claims.{oracle}", over_budget)
-    if pattern == "T-half":
-        # the reverse sweep deepens from n/2 - 1 members, not for the number
-        monkeypatch.setattr("semitotal.claims._levels", over_budget)
-    report = run_claims(pattern, budget=budget)
-    computed = [r for r in report.rows if r.oracle != "skipped"]
+def _patched_run(monkeypatch, oracles, pattern, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    for oracle in oracles:
+        monkeypatch.setattr(f"semitotal.claims.{oracle}", broken)
+    # the first joined pair of paths, (P5)v(P6), has 11 vertices
+    return run_claims(pattern, budget=11 if pattern == "T4-stab-joinpaths" else 10)
+
+
+@pytest.mark.parametrize("oracles, pattern", ERROR_CASES)
+def test_typed_error_becomes_undefined_row(monkeypatch, fresh_half_rows, oracles, pattern):
+    report = _patched_run(monkeypatch, oracles, pattern, BudgetExceededError("too large"))
+    # T2.2.i's table arithmetic and the skipped rows call no oracle
+    computed = [r for r in report.rows if r.oracle != "skipped" and not r.instance.startswith("arith n=")]
     assert computed
     for row in computed:
-        assert (row.verdict, row.oracle) == ("UNDEFINED", "error")
-        assert row.note.endswith("BudgetExceededError: too large")
-    if site is not None:
-        assert site in {r.instance for r in computed}
+        assert (row.verdict, row.oracle) == ("UNDEFINED", "error"), row
+        assert row.note.endswith("BudgetExceededError: too large"), row
+    if pattern in FORMERLY_UNGUARDED:
+        assert FORMERLY_UNGUARDED[pattern] in {r.instance for r in computed}
     # a row's own note is kept ahead of the error
     if pattern == "T4-stab-FBS":
         row = next(r for r in computed if r.instance == "B1 (statement)")
         assert row.note == "statement value; BudgetExceededError: too large"
+
+
+@pytest.mark.parametrize("cid", claim_ids())
+def test_programming_error_in_oracle_propagates(monkeypatch, fresh_half_rows, cid):
+    with pytest.raises(TypeError, match="broken oracle"):
+        _patched_run(monkeypatch, ORACLES, cid, TypeError("broken oracle"))
+
+
+@pytest.mark.parametrize("check", [run_claims, half_order_characterization_check])
+def test_budget_outside_the_word_is_refused(fresh_half_rows, check):
+    with pytest.raises(ValueError, match="at least 0, got -3"):
+        check(budget=-3)
+    with pytest.raises(CapacityError, match="budget 66 is above the word budget of 64"):
+        check(budget=66)
 
 
 def test_refused_count_row_keeps_the_whole_refusal_text(monkeypatch):
