@@ -279,15 +279,15 @@ def _solve(g: Graph, variant: Variant) -> tuple[int | None, int | None]:
     return best.bit_count(), best
 
 
-def _packing(reqs: list[int]) -> int:
-    """Size of a greedy packing of pairwise disjoint candidate masks: each one
-    needs its own member, so this many members are still needed."""
+def _packing(reqs: list[int]) -> tuple[int, int]:
+    """Union and size of a greedy packing of pairwise disjoint candidate
+    masks: each one needs its own member, so this many are still needed."""
     used = size = 0
     for cands in reqs:
         if not cands & used:
             used |= cands
             size += 1
-    return size
+    return used, size
 
 
 def _counting_bound(g: Graph, variant: Variant) -> list[int]:
@@ -350,30 +350,43 @@ def _levels(g: Graph, variant: Variant, start: int | None = None) -> Iterator[in
     witnesses it; an empty mask prunes the child.  Requirements with pairwise
     disjoint candidate sets each need their own new member, so a greedy
     packing of them bounds the members still needed, as does
-    ``_counting_bound``; both prune nodes and set the first deepening level.
+    ``_counting_bound``; both set the first deepening level and prune each
+    child before it is searched, the counting bound before its list is built.
+    When the packing is as large as the members left, each of them needs its
+    own packed requirement, so the node and its whole subtree choose only
+    among the packed candidates.  The search stays deterministic and searches
+    each level on its own; this cut changes ties in the sort, so its set can
+    differ from the one found without it.
     """
     cover = _cover_masks(g, variant)
     witness = _witness_masks(g, variant.rule) if variant.kind == "semitotal" else None
     n = g.n
     allowed = _allowed(g, variant)
 
-    def search(chosen: int, covered: int, free: int, reqs: list[int], budget: int) -> int | None:
-        if not reqs:
-            return chosen
-        if need[n - covered.bit_count()] > budget or _packing(reqs) > budget:
-            return None
+    def search(chosen: int, covered: int, free: int, reqs: list[int], budget: int, used: int, size: int) -> int | None:
+        if size == budget:
+            free &= used  # every member still to be chosen sits in its own packed requirement
+        budget -= 1  # what is left for the children
         rest = reqs[0]
         while rest:
             bit = rest & -rest
             rest ^= bit
             w = bit.bit_length() - 1
             free &= ~bit  # w is chosen in this branch and banned in the later ones
+            grown = covered | cover[w]
+            if need[n - grown.bit_count()] > budget:
+                continue
             child = [cands & free for cands in reqs if not cands & bit]
             if witness is not None and not chosen & witness[w]:
                 child.append(witness[w] & free)
-            if all(child):
-                child.sort(key=int.bit_count)
-                found = search(chosen | bit, covered | cover[w], free, child, budget - 1)
+            if not child:
+                return chosen | bit
+            child.sort(key=int.bit_count)
+            if not child[0]:
+                continue
+            packed = _packing(child)
+            if packed[1] <= budget:
+                found = search(chosen | bit, grown, free, child, budget, *packed)
                 if found is not None:
                     return found
         return None
@@ -386,8 +399,9 @@ def _levels(g: Graph, variant: Variant, start: int | None = None) -> Iterator[in
     if not reqs[0]:
         return
     need = _counting_bound(g, variant)
-    k = max(_packing(reqs), need[n], 1 if witness is None else 2) if start is None else start
-    while (found := search(0, 0, allowed, reqs, k)) is None:
+    packed = _packing(reqs)
+    k = max(packed[1], need[n], 1 if witness is None else 2) if start is None else start
+    while (found := search(0, 0, allowed, reqs, k, *packed)) is None:
         yield None
         k += 1
     yield found

@@ -187,7 +187,7 @@ def _stability_search(
             return False
         # pairwise disjoint closed neighbourhoods each need their own member,
         # and a semitotal set has at least two
-        if base > 2 and _packing(sorted([r | 1 << i for i, r in enumerate(key)], key=int.bit_count)) < base:
+        if base > 2 and _packing(sorted([r | 1 << i for i, r in enumerate(key)], key=int.bit_count))[1] < base:
             return False
         return any(not members & removed and still_valid(members, removed) for members in reversed(pool))
 

@@ -362,6 +362,45 @@ def test_solve_workload_values_match_committed_values():
             assert domination_number(g, variant) == expected[label][name], (label, name)
 
 
+# -- the branch and bound past the oracle's range --------------------------
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (5, 10, {"plain": 13, "total": 16, "within2": 14, "exact2": 14}),
+    (8, 8, {"plain": 16, "total": 20, "within2": 18}),
+])
+def test_search_matches_the_lowest_count_on_large_grids(a, b, expected):
+    # Far beyond the brute-force oracle, the counting program is the second
+    # exact method: the deepening's set must be valid and as small as the
+    # lowest size with a nonzero count.
+    g = cartesian(path(a), path(b))
+    for name, number in expected.items():
+        variant = VARIANT_NAMES[name]
+        best = next(filter(None, domination._levels(g, variant)))
+        assert _is_valid(g, variant, best), name
+        counts = count_by_size(g, variant, OFF)
+        assert best.bit_count() == next(k for k in range(g.n + 1) if counts[k]) == number, name
+
+
+def test_set_at_the_known_level_matches_the_full_deepening():
+    # Each deepening level is searched on its own, so the level of the known
+    # number gives the set the full deepening ends with.  The relabelled
+    # P4xP9 take the permutations of the benchmark's solve workload (seed 801).
+    expected = json.loads((EXPECTED_DIR / "solve.json").read_text())
+    cases = [("P6xP6", cartesian(path(6), path(6))), ("P7xP7", cartesian(path(7), path(7)))]
+    grid = cartesian(path(4), path(9))
+    for k in range(3):
+        perm = list(range(grid.n))
+        random.Random(f"801:P4xP9:{k}").shuffle(perm)
+        cases.append(("P4xP9", relabeled(grid, perm)))
+    for label, g in cases:
+        for name in ("within2", "exact2"):
+            variant, number = VARIANT_NAMES[name], expected[label][name]
+            best = next(filter(None, domination._levels(g, variant)))
+            assert _is_valid(g, variant, best) and best.bit_count() == number, (label, name)
+            assert _minimum_set(g, variant, number) == best, (label, name)
+
+
 # -- the counting bound ---------------------------------------------------
 
 
