@@ -44,6 +44,12 @@ class Variant:
             raise ValueError("semitotal variant needs a witness rule")
         if self.kind != "semitotal" and self.rule is not None:
             raise ValueError(f"{self.kind} variant takes no witness rule")
+        # The run table and the claim caches hash a variant on every lookup,
+        # and the generated hash calls the pure-Python Enum.__hash__ each time.
+        object.__setattr__(self, "_hash", hash((self.kind, self.rule)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 PLAIN = Variant("plain")
@@ -245,11 +251,12 @@ def domination_number(
     the number (paths and cycles among them).  When it finds no set on a
     graph with more subsets than ``_least_size`` may take state steps
     (2^n > ``_MAX_NUMBER_STATES`` * n, from 17 vertices), the number comes
-    from that dynamic program instead, which refutes nothing.  When the
-    program passes its state cap, the deepening continues from the next
-    level.  Returns None when no valid set exists.  Inside ``_solved_once``
-    the raw number (and the set, when one was found) is looked up in and
-    stored to the run's table after the convention gate.
+    from that dynamic program instead: its beam pass finds a valid set, and
+    its decision pass, told that the first level is refuted, looks for a
+    smaller one.  When the decision pass passes its state cap, the deepening
+    continues from the next level.  Returns None when no valid set exists.
+    Inside ``_solved_once`` the raw number (and the set, when one was found)
+    is looked up in and stored to the run's table after the convention gate.
     """
     if _gate_applies(g, variant, conv):
         return 1
@@ -258,9 +265,10 @@ def domination_number(
     if table is None:
         return _solve(g, variant)[0]
     key = (g.adj, variant)
-    if key not in table:
-        table[key] = _solve(g, variant)
-    return table[key][0]
+    solved = table.get(key)
+    if solved is None:
+        solved = table[key] = _solve(g, variant)
+    return solved[0]
 
 
 def _solve(g: Graph, variant: Variant) -> tuple[int | None, int | None]:
@@ -272,7 +280,7 @@ def _solve(g: Graph, variant: Variant) -> tuple[int | None, int | None]:
         return (first.bit_count(), first) if first else (None, None)
     if 1 << g.n > _MAX_NUMBER_STATES * g.n:
         try:
-            return _least_size(g, variant), None
+            return _least_size(g, variant, True), None
         except BudgetExceededError:
             pass
     best = next(filter(None, levels))
@@ -322,8 +330,9 @@ def _minimum_set(g: Graph, variant: Variant, number: int | None = None) -> int |
     """
     table = _solved.get()
     key = (g.adj, variant)
-    if table is not None and key in table:
-        number, best = table[key]
+    solved = None if table is None else table.get(key)
+    if solved is not None:
+        number, best = solved
         if best is not None or number is None:
             return best
     best = next(filter(None, _levels(g, variant, number)), None)
@@ -439,11 +448,11 @@ def minimum_sets(
 _MAX_STATES = 1 << 17
 
 # The number has the branch and bound to fall back on, so its cap is narrow:
-# a refusal costs a few milliseconds before the deepening takes over.  P7xP7
-# under within2 fits, and under exact2 it stays on the branch and bound.
-# With the counting cap for both, the min-plus kernel finishes exact2 P7xP7
-# through 18,003 states (2.5 MiB) in about the deepening's time, and the
-# ``solve`` workload's peak memory grows by about 2.0 MiB.
+# a refused decision pass costs a few milliseconds before the deepening takes
+# over.  That pass keeps only the states that can still finish below the
+# beam's size, so exact2 P7xP7 fits at a peak of about 1,200 states, where
+# its whole min-plus table needs 18,003 (2.5 MiB).  P8xP8 under both rules
+# still passes the cap and stays on the branch and bound.
 _MAX_NUMBER_STATES = 1 << 12
 
 
@@ -505,33 +514,79 @@ def _too_many_states(cap: int, decided: int, n: int) -> BudgetExceededError:
     return BudgetExceededError(f"counting needs more than {cap} states with {decided} of {n} vertices decided")
 
 
-def _least_size(g: Graph, variant: Variant) -> int | None:
-    """Least size of a valid set, by the steps of ``_frontier`` over min-plus:
-    a state's value is the least number of members of a partial set that
-    reaches it, a member adds 1, and two values that reach one state keep
-    the smaller.  Returns None when no valid set exists.  Applies no
-    convention.  Raises ``BudgetExceededError`` once a step leaves more than
-    ``_MAX_NUMBER_STATES`` states."""
-    cap, n = _MAX_NUMBER_STATES, g.n
-    top = n + 1  # above every size
-    table = {0: 0}
-    for decided, (out, member, need_out, need_in) in enumerate(_frontier(g, variant), 1):
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for state, size in table.items():
-            if state & need_out == need_out:
-                key = state | out
-                if get(key, top) > size:
-                    nxt[key] = size
-            if state & need_in == need_in:
-                key = state | member
-                size += 1
-                if get(key, top) > size:
-                    nxt[key] = size
-        if len(nxt) > cap:
-            raise _too_many_states(cap, decided, n)
-        table = nxt
-    return next(iter(table.values()), None)
+# The states the beam pass of ``_least_size`` keeps after each step.  With
+# 16 the beam ends at 15 on relabelled exact2 P7xP7, whose number is 14, and
+# the decision pass below 15 then needs about 11,500 states.
+_BEAM_WIDTH = 48
+
+
+def _least_size(g: Graph, variant: Variant, refuted: bool = False) -> int | None:
+    """Least size of a valid set, by two passes over the steps of
+    ``_frontier`` over min-plus: a state's value is the least number of
+    members of a partial set that reaches it, a member adds 1, and two values
+    that reach one state keep the smaller.
+
+    Both passes drop a state once its size plus a lower bound on the members
+    it still needs passes a limit.  The bound is the larger of a greedy
+    packing of the cover clauses no decided vertex touches (one number per
+    step) and ``_counting_bound`` of the cover clauses the state has not met.
+    The beam pass keeps the ``_BEAM_WIDTH`` states of least size after each
+    step, ties to fewer uncovered vertices, so its final state, if any, is a
+    valid set of ub members.  The decision pass keeps every state that can
+    still finish below ub, and its least size, or ub when it finds none, is
+    the answer whatever the beam found.  It is skipped when ub is the bound
+    at the first step, or one more when ``refuted`` says the caller found no
+    valid set of that many members (the first level of ``_levels``, which is
+    at least that bound).  Returns None when no valid set exists.  Applies no
+    convention.  Raises ``BudgetExceededError`` once a step of the decision
+    pass leaves more than ``_MAX_NUMBER_STATES`` states."""
+    cap, n, full = _MAX_NUMBER_STATES, g.n, g.full_mask
+    top = n + 1  # above every size and every count of covered vertices
+    cands = sorted([row & _allowed(g, variant) for row in _cover_masks(g, variant)], key=int.bit_count)
+    if not cands[0]:
+        return None  # some vertex has no candidate to cover it
+    need = _counting_bound(g, variant)
+    floor = [_packing(cands)[1]]  # by the vertices decided, in the order of _frontier
+    for v in _bfs_order(g):
+        cands = [c for c in cands if not c >> v & 1]
+        floor.append(_packing(cands)[1])
+    steps = _frontier(g, variant)
+
+    def final_size(ub: int, width: int | None) -> int | None:
+        limit, table = ub - 1, {0: 0}
+        for decided, (out, member, need_out, need_in) in enumerate(steps, 1):
+            room = limit - floor[decided]  # the most members a state may hold after this step
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for state, size in table.items():
+                if room < size:
+                    continue
+                if state & need_out == need_out:
+                    key = state | out
+                    if get(key, ub) > size:
+                        nxt[key] = size
+                if state & need_in == need_in:
+                    key = state | member
+                    size += 1
+                    if room < size or limit < size + need[n - (key & full).bit_count()]:
+                        continue
+                    if get(key, ub) > size:
+                        nxt[key] = size
+            if width is None:
+                if len(nxt) > cap:
+                    raise _too_many_states(cap, decided, n)
+            elif len(nxt) > width:
+                nxt = dict(sorted(nxt.items(), key=lambda item: item[1] * top - (item[0] & full).bit_count())[:width])
+            table = nxt
+        return next(iter(table.values()), None)
+
+    best = final_size(top, _BEAM_WIDTH)
+    ub = top if best is None else best
+    if ub > max(floor[0], need[n]) + refuted:
+        found = final_size(ub, None)
+        if found is not None:
+            return found
+    return best
 
 
 def count_by_size(

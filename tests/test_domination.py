@@ -468,9 +468,44 @@ def test_least_size_is_the_lowest_count():
             assert _least_size(g, variant) == lowest, (g.name, variant)
 
 
-def test_least_size_of_relabelled_grids_matches_committed_values(monkeypatch):
-    # exact2 P7xP7 needs 18,003 states, so the counting cap stands in here
-    monkeypatch.setattr(domination, "_MAX_NUMBER_STATES", domination._MAX_STATES)
+def _least_size_runs(g, variant):
+    """``_least_size`` with a beam of one state and with no beam bound (a
+    beam of none), each also told when the deepening refuted its first level."""
+    refuted = next(domination._levels(g, variant), 0) is None
+    answers = []
+    for width in (1, 0):
+        with mock.patch.object(domination, "_BEAM_WIDTH", width):
+            answers.append(_least_size(g, variant))
+            if refuted:
+                answers.append(_least_size(g, variant, True))
+    return answers
+
+
+@given(graphs(min_n=1, max_n=12))
+@settings(max_examples=120, deadline=None)
+def test_least_size_is_exact_whatever_the_beam_finds_random(g):
+    # The decision pass alone makes the answer exact.  A beam of one state
+    # often ends above the number or finds no set, so this catches a bound one
+    # too large, ``<=`` for ``<`` on the member branch and a return of the
+    # beam's size without the decision pass.
+    for variant in ALL_VARIANTS:
+        if variant.kind != "plain" and not g.is_isolate_free():
+            continue
+        expected = brute_force_number(g, variant, OFF)
+        assert set(_least_size_runs(g, variant)) == {expected}, (g.edges(), variant)
+
+
+def test_least_size_is_exact_whatever_the_beam_finds_on_the_corpus():
+    for g in full_corpus(12):
+        for variant in ALL_VARIANTS:
+            if variant.kind != "plain" and not g.is_isolate_free():
+                continue
+            counts = count_by_size(g, variant, OFF)
+            lowest = next((k for k in range(g.n + 1) if counts[k]), None)
+            assert set(_least_size_runs(g, variant)) == {lowest}, (g.name, variant)
+
+
+def test_least_size_of_relabelled_grids_matches_committed_values():
     expected = json.loads((EXPECTED_DIR / "solve.json").read_text())
     for label, (a, b) in SOLVE_GRIDS.items():
         g = cartesian(path(a), path(b))
@@ -485,7 +520,7 @@ def test_least_size_of_relabelled_grids_matches_committed_values(monkeypatch):
 def test_number_dispatch_reaches_the_dp_only_past_sixteen_vertices(monkeypatch):
     calls = []
     least = domination._least_size
-    monkeypatch.setattr(domination, "_least_size", lambda g, v: calls.append(g.n) or least(g, v))
+    monkeypatch.setattr(domination, "_least_size", lambda g, v, refuted: calls.append(g.n) or least(g, v, refuted))
     # the root level settles P35 and P7xP7 under total; the grids under
     # within2 need the program, and 16 vertices never reach it
     assert domination_number(path(35), SEMITOTAL_WITHIN) == 14
@@ -501,9 +536,9 @@ def test_number_falls_back_to_the_deepening_when_the_dp_refuses(monkeypatch):
     refused, deepenings = [], []
     least, levels = domination._least_size, domination._levels
 
-    def counted_least(g, variant):
+    def counted_least(g, variant, refuted):
         try:
-            return least(g, variant)
+            return least(g, variant, refuted)
         except BudgetExceededError:
             refused.append(g.n)
             raise
@@ -521,41 +556,46 @@ def test_number_falls_back_to_the_deepening_when_the_dp_refuses(monkeypatch):
         assert refused == [g.n], label  # exact2 reached the program and was refused
 
 
-def _refusal(solver, g, variant):
+def _answer_or_refusal(solve):
+    """(answer, None), or (None, the vertices decided) when refused."""
     try:
-        solver(g, variant)
+        return solve(), None
     except BudgetExceededError as exc:
-        return str(exc)
-    return None
+        return None, int(str(exc).split(" with ")[1].split()[0])
 
 
-def test_number_and_count_hold_the_same_table(monkeypatch):
-    # The number (min-plus) and the counts (addition) run two kernels over
-    # the one step list of ``_frontier``, so under one cap they keep the same
-    # states and refuse at the same vertex step.
+def test_number_is_refused_only_where_the_counts_are(monkeypatch):
+    # The number's decision pass keeps, at every step over the step list of
+    # ``_frontier``, a subset of the states the counts keep (those that can
+    # still finish below the beam's size), so under one cap it is refused only
+    # where the counts are, and no earlier; where both answer they agree.
     graphs = [complete_bipartite(4, 6), friendship(5), wheel(9), book(5),
               cartesian(path(4), path(5)), cartesian(path(5), path(6))]
-    refusals = []
+    counted_refusals = []
     for cap in (8, 64, 512):
         monkeypatch.setattr(domination, "_MAX_STATES", cap)
         monkeypatch.setattr(domination, "_MAX_NUMBER_STATES", cap)
         for g in graphs:
             for variant in ALL_VARIANTS:
-                counted = _refusal(lambda h, v: count_by_size(h, v, OFF), g, variant)
-                assert _refusal(_least_size, g, variant) == counted, (cap, g.name, variant)
-                refusals.append(counted)
-    assert None in refusals and any(refusals)
+                counts, counted = _answer_or_refusal(lambda: count_by_size(g, variant, OFF))
+                least, refused = _answer_or_refusal(lambda: _least_size(g, variant))
+                counted_refusals.append(counted)
+                if refused is not None:
+                    assert counted is not None and refused >= counted, (cap, g.name, variant)
+                elif counted is None:
+                    lowest = next((k for k in range(g.n + 1) if counts[k]), None)
+                    assert least == lowest, (cap, g.name, variant)
+    assert None in counted_refusals and any(counted_refusals)
 
 
-def test_number_has_a_narrower_cap_than_the_counts():
-    # Under the counting cap the number of exact2 P7xP7 would keep 18,003
-    # states, and the branch and bound is faster there; so the number's own
-    # cap refuses it early, while the counts, which have no other way, finish.
+def test_number_of_exact2_p7xp7_fits_the_numbers_cap(monkeypatch):
+    # The whole min-plus table of exact2 P7xP7 needs 18,003 states; the
+    # decision pass below the beam's 14 keeps far fewer, within the 2^12 cap.
     g = cartesian(path(7), path(7))
-    with pytest.raises(BudgetExceededError, match="more than 4096 states with 21 of 49 vertices decided"):
+    assert _least_size(g, SEMITOTAL_EXACT) == 14
+    monkeypatch.setattr(domination, "_MAX_NUMBER_STATES", 512)
+    with pytest.raises(BudgetExceededError):
         _least_size(g, SEMITOTAL_EXACT)
-    counts = count_by_size(g, SEMITOTAL_EXACT)
-    assert next(k for k in range(g.n + 1) if counts[k]) == 14
 
 
 def test_number_of_wide_graphs_is_fast():
