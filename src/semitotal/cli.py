@@ -10,13 +10,10 @@ import sys
 from .claims import run_claims
 from .domination import (
     Conventions,
-    PLAIN,
-    TOTAL,
     Variant,
     WitnessRule,
     count_by_size,
     domination_number,
-    semitotal,
 )
 from .errors import COMPUTATION_ERRORS, CapacityError
 from .families import (
@@ -133,11 +130,7 @@ def _add_variant_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _variant_of(args: argparse.Namespace) -> Variant:
-    if args.variant == "plain":
-        return PLAIN
-    if args.variant == "total":
-        return TOTAL
-    return semitotal(WitnessRule(args.rule))
+    return Variant(args.rule if args.variant == "semitotal" else args.variant)
 
 
 def _conv_of(args: argparse.Namespace) -> Conventions:

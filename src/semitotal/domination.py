@@ -30,32 +30,26 @@ class WitnessRule(enum.Enum):
     EXACTLY_TWO = "exact2"
 
 
-@dataclass(frozen=True)
-class Variant:
-    """Domination variant; semitotal carries its witness rule."""
+class Variant(enum.Enum):
+    """The four domination variants, by code: ``Variant("exact2")`` is
+    SEMITOTAL_EXACT, and any other code is refused with ``ValueError``.
+    ``kind`` is "plain", "total" or "semitotal", and ``rule`` is the
+    semitotal witness rule, None for the other two."""
 
-    kind: str
-    rule: WitnessRule | None = None
+    PLAIN = "plain"
+    TOTAL = "total"
+    SEMITOTAL_WITHIN = "within2"
+    SEMITOTAL_EXACT = "exact2"
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("plain", "total", "semitotal"):
-            raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.kind == "semitotal" and self.rule is None:
-            raise ValueError("semitotal variant needs a witness rule")
-        if self.kind != "semitotal" and self.rule is not None:
-            raise ValueError(f"{self.kind} variant takes no witness rule")
-        # The run table and the claim caches hash a variant on every lookup,
-        # and the generated hash calls the pure-Python Enum.__hash__ each time.
-        object.__setattr__(self, "_hash", hash((self.kind, self.rule)))
+    # by identity: the inherited Enum.__hash__ runs Python code on every run-table lookup
+    __hash__ = object.__hash__
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __init__(self, code: str) -> None:
+        self.rule = next((rule for rule in WitnessRule if rule.value == code), None)
+        self.kind = code if self.rule is None else "semitotal"
 
 
-PLAIN = Variant("plain")
-TOTAL = Variant("total")
-SEMITOTAL_WITHIN = Variant("semitotal", WitnessRule.WITHIN_TWO)
-SEMITOTAL_EXACT = Variant("semitotal", WitnessRule.EXACTLY_TWO)
+PLAIN, TOTAL, SEMITOTAL_WITHIN, SEMITOTAL_EXACT = Variant
 
 
 def semitotal(rule: WitnessRule = WitnessRule.WITHIN_TWO) -> Variant:
@@ -88,7 +82,7 @@ DEFAULT_CONVENTIONS = Conventions()
 def _validate(g: Graph, variant: Variant) -> None:
     if g.n == 0:
         raise EmptyGraphError("domination is undefined on the empty graph")
-    if variant.kind != "plain" and not g.is_isolate_free():
+    if variant is not PLAIN and not g.is_isolate_free():
         raise IsolatesError("operation requires an isolate-free graph")
 
 
@@ -120,14 +114,16 @@ def is_semitotal(g: Graph, members: int, rule: WitnessRule) -> bool:
     return _member_test(g, semitotal(rule), members)
 
 
-def _witness_masks(g: Graph, rule: WitnessRule) -> tuple[int, ...]:
-    if rule is WitnessRule.WITHIN_TWO:
-        return g._ball2_all()
-    return g._sphere2_all()
-
-
-def _cover_masks(g: Graph, variant: Variant) -> tuple[int, ...]:
-    return g.adj if variant.kind == "total" else g.closed
+def _masks(g: Graph, variant: Variant) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """The variant's cover masks by vertex, and its witness masks by vertex
+    under semitotal, else None."""
+    if variant is TOTAL:
+        return g.adj, None
+    if variant is SEMITOTAL_WITHIN:
+        return g.closed, g._ball2_all()
+    if variant is SEMITOTAL_EXACT:
+        return g.closed, g._sphere2_all()
+    return g.closed, None
 
 
 def _gate_applies(g: Graph, variant: Variant, conv: Conventions) -> bool:
@@ -135,7 +131,7 @@ def _gate_applies(g: Graph, variant: Variant, conv: Conventions) -> bool:
     # K_1 included, get the conventional value 1 (the corona sharpness
     # checks need a semitotal number for K_1).
     return (
-        variant.kind == "semitotal"
+        variant.rule is not None
         and conv.complete_singleton
         and g.n >= 1
         and g.is_complete()
@@ -145,24 +141,18 @@ def _gate_applies(g: Graph, variant: Variant, conv: Conventions) -> bool:
 def _allowed(g: Graph, variant: Variant) -> int:
     """The vertices that can belong to some valid set, as a mask: every
     vertex, or for semitotal those with a vertex to witness them."""
-    if variant.kind != "semitotal":
-        return g.full_mask
-    return mask_from(compress(range(g.n), _witness_masks(g, variant.rule)))
+    witness = _masks(g, variant)[1]
+    return g.full_mask if witness is None else mask_from(compress(range(g.n), witness))
 
 
 def _is_valid(g: Graph, variant: Variant, members: int) -> bool:
     """True iff the members cover every vertex and, for semitotal, each member
     has another member as witness."""
-    cover = _cover_masks(g, variant)
+    cover, witness = _masks(g, variant)
     cov = 0
     for v in iter_bits(members):
         cov |= cover[v]
-    if cov != g.full_mask:
-        return False
-    if variant.kind != "semitotal":
-        return True
-    witness = _witness_masks(g, variant.rule)
-    return all(members & witness[v] for v in iter_bits(members))
+    return cov == g.full_mask and (witness is None or all(members & witness[v] for v in iter_bits(members)))
 
 
 def _valid_sets(g: Graph, variant: Variant, sizes: Iterable[int]) -> Iterator[int]:
@@ -310,9 +300,9 @@ def _counting_bound(g: Graph, variant: Variant) -> list[int]:
     component of at least two, so U <= t (2g - 1) / 2 for t new members.
     On P_n and C_n this gives ceil(2n / 5), the semitotal number.
     """
-    cover = _cover_masks(g, variant)
-    if variant.kind == "semitotal":
-        reach = max(map(int.bit_count, compress(cover, _witness_masks(g, variant.rule))))
+    cover, witness = _masks(g, variant)
+    if witness is not None:
+        reach = max(map(int.bit_count, compress(cover, witness)))
         return [-(-2 * uncovered // (2 * reach - 1)) for uncovered in range(g.n + 1)]
     reach = max(map(int.bit_count, cover))
     return [-(-uncovered // reach) for uncovered in range(g.n + 1)]
@@ -367,8 +357,7 @@ def _levels(g: Graph, variant: Variant, start: int | None = None) -> Iterator[in
     each level on its own; this cut changes ties in the sort, so its set can
     differ from the one found without it.
     """
-    cover = _cover_masks(g, variant)
-    witness = _witness_masks(g, variant.rule) if variant.kind == "semitotal" else None
+    cover, witness = _masks(g, variant)
     n = g.n
     allowed = _allowed(g, variant)
 
@@ -474,8 +463,8 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def _frontier(g: Graph, variant: Variant) -> list[tuple[int, int, int, int]]:
-    """The steps of a dynamic program over the vertices, one per vertex.
+def _frontier(g: Graph, variant: Variant) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """A vertex order and the steps of a dynamic program over it, one per vertex.
 
     Every requirement is a clause.  Cover clause u (bit u) asks for a member
     in ``cover[u]``.  Under semitotal, witness clause v (bit n + v) asks that
@@ -494,20 +483,18 @@ def _frontier(g: Graph, variant: Variant) -> list[tuple[int, int, int, int]]:
     after the last step, if any, has every clause met.
     """
     n = g.n
-    cover = _cover_masks(g, variant)
-    if variant.kind == "semitotal":
-        witness = _witness_masks(g, variant.rule)
-        met = [(1 << n + v, cover[v] | witness[v] << n) for v in range(n)]
-    else:
-        met = [(0, row) for row in cover]
+    cover, witness = _masks(g, variant)
+    met = [(0, row) for row in cover] if witness is None else \
+        [(1 << n + v, cover[v] | witness[v] << n) for v in range(n)]
+    order = _bfs_order(g)
     steps, seen = [], 0
-    for v in reversed(_bfs_order(g)):
+    for v in reversed(order):
         out, member = met[v]
         last = (out | member) & ~seen
         seen |= out | member
         steps.append((out, member, last & ~out, last & ~member))
     steps.reverse()
-    return steps
+    return order, steps
 
 
 def _too_many_states(cap: int, decided: int, n: int) -> BudgetExceededError:
@@ -542,15 +529,16 @@ def _least_size(g: Graph, variant: Variant, refuted: bool = False) -> int | None
     pass leaves more than ``_MAX_NUMBER_STATES`` states."""
     cap, n, full = _MAX_NUMBER_STATES, g.n, g.full_mask
     top = n + 1  # above every size and every count of covered vertices
-    cands = sorted([row & _allowed(g, variant) for row in _cover_masks(g, variant)], key=int.bit_count)
+    allowed = _allowed(g, variant)
+    cands = sorted([row & allowed for row in _masks(g, variant)[0]], key=int.bit_count)
     if not cands[0]:
         return None  # some vertex has no candidate to cover it
     need = _counting_bound(g, variant)
-    floor = [_packing(cands)[1]]  # by the vertices decided, in the order of _frontier
-    for v in _bfs_order(g):
+    order, steps = _frontier(g, variant)
+    floor = [_packing(cands)[1]]  # by the vertices decided, in the order of the steps
+    for v in order:
         cands = [c for c in cands if not c >> v & 1]
         floor.append(_packing(cands)[1])
-    steps = _frontier(g, variant)
 
     def final_size(ub: int, width: int | None) -> int | None:
         limit, table = ub - 1, {0: 0}
@@ -615,7 +603,7 @@ def count_by_size(
     cap, n = _MAX_STATES, g.n
     lane = n + 1
     table = {0: 1}
-    for decided, (out, member, need_out, need_in) in enumerate(_frontier(g, variant), 1):
+    for decided, (out, member, need_out, need_in) in enumerate(_frontier(g, variant)[1], 1):
         nxt: dict[int, int] = {}
         get = nxt.get
         for state, value in table.items():

@@ -108,6 +108,8 @@ def _stability_search(
     conv: Conventions,
     policy: RemovalPolicy,
 ) -> tuple[int, int] | None:
+    if not isinstance(policy, RemovalPolicy):
+        raise ValueError(f"unknown removal policy {policy!r}")
     if g.n < 2:
         raise EmptyGraphError("stability needs a graph on at least 2 vertices")
     if not g.is_isolate_free():
@@ -241,7 +243,8 @@ def semitotal_stability(
     removal set either leaves the number unchanged or is handled by the
     policy.  Returns None when no removal of fewer than n vertices changes
     the number under SKIP_SET.  Refused with ``BudgetExceededError`` once the
-    scan passes ``_MAX_SETS`` removal sets, which can take 40 s.
+    scan passes ``_MAX_SETS`` removal sets, which can take 40 s, and with
+    ``ValueError`` before any work when ``policy`` is not a ``RemovalPolicy``.
     """
     hit = _stability_search(g, rule, conv, policy)
     return None if hit is None else hit[0]

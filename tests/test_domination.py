@@ -53,6 +53,7 @@ from semitotal.domination import (
     _gate_applies,
     _is_valid,
     _least_size,
+    _masks,
     _minimum_set,
     _solved_once,
     _valid_sets,
@@ -112,6 +113,31 @@ def test_semitotal_shares_one_variant_per_rule():
     for rule in (None, "within2"):
         with pytest.raises(ValueError, match="unknown witness rule"):
             semitotal(rule)
+    # the four codes of the CLI and the benchmark, and no other
+    for code, variant in VARIANT_NAMES.items():
+        assert Variant(code) is variant
+        assert variant.rule is (None if code in ("plain", "total") else WitnessRule(code))
+        assert variant.kind == (code if variant.rule is None else "semitotal")
+        assert hash(variant) == object.__hash__(variant)
+    assert set(Variant) == set(ALL_VARIANTS)
+    for code in ("semitotal", "bogus"):
+        with pytest.raises(ValueError):
+            Variant(code)
+
+
+def test_masks_match_the_distances():
+    for g in full_corpus(10):
+        near = [[g.distance(u, v) for v in range(g.n)] for u in range(g.n)]
+        closed = [mask_from(v for v in range(g.n) if near[u][v] <= 1) for u in range(g.n)]
+        open_ = [row & ~(1 << u) for u, row in enumerate(closed)]
+        within = [mask_from(v for v in range(g.n) if 1 <= near[u][v] <= 2) for u in range(g.n)]
+        exact = [mask_from(v for v in range(g.n) if near[u][v] == 2) for u in range(g.n)]
+        expected = {PLAIN: (closed, None), TOTAL: (open_, None),
+                    SEMITOTAL_WITHIN: (closed, within), SEMITOTAL_EXACT: (closed, exact)}
+        for variant, (cover, witness) in expected.items():
+            got = _masks(g, variant)
+            assert list(got[0]) == cover
+            assert (got[1] if got[1] is None else list(got[1])) == witness
 
 
 def test_is_semitotal_examples():

@@ -77,6 +77,14 @@ def test_policy_difference_on_p4():
     assert stability_witness(path(4), EXACT, policy=RemovalPolicy.COUNT_AS_CHANGED) == (1, mask_from([1]))
 
 
+def test_unknown_policy_is_refused_before_any_work():
+    # a policy code is not a policy; the empty graph shows nothing is checked first
+    for search in (semitotal_stability, stability_witness):
+        for g in (path(4), Graph(0, [])):
+            with pytest.raises(ValueError, match="unknown removal policy"):
+                search(g, EXACT, Conventions(), "changed")
+
+
 def test_undefined_residues_are_skipped_not_counted():
     # deleting vertex 2 of P_7 leaves P_2 + P_4 whose exact-rule value is
     # undefined; SKIP_SET must pass over it and find the change at vertex 3.
