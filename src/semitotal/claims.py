@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .domination import (
@@ -105,15 +105,6 @@ def _difference(g: Graph, rule: WitnessRule, conv: Conventions) -> int | None:
     if t2 is None:
         return None
     return t2 - _gamma(g)
-
-
-def _isomorphic(g: Graph, h: Graph) -> bool:
-    """Whether some vertex bijection maps g's edges onto h's; tries all n!,
-    which is 24 for the 4-vertex graphs it is called on."""
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    edges = g.edges()
-    return any(all(h.adj[p[u]] >> p[v] & 1 for u, v in edges) for p in permutations(range(g.n)))
 
 
 def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | None:
@@ -622,20 +613,20 @@ def _reverse_tree_entries(budget: int) -> Iterator[_Entry]:
 
 def _half_graph_entries(budget: int) -> Iterator[_Entry]:
     """The named members of the family: C6, C8, the K4 spanning subgraphs of
-    minimum degree 2 and the rooted 4-cycle products."""
+    minimum degree 2 and the rooted 4-cycle products.  Up to isomorphism
+    those subgraphs are C4, K4 - e and K4, one per edge count, so the first
+    of each edge count stands for its class."""
     for n in (6, 8):
         if n <= budget:
             yield f"C{n}", cycle(n), n // 2, ""
     if budget >= 4:
-        seen: list[Graph] = []
+        seen: set[int] = set()
         pairs = list(combinations(range(4), 2))
         for bits in range(64):
             g = Graph.from_edges(4, [pairs[i] for i in range(6) if bits >> i & 1])
-            if not g.is_connected() or min(g.degree(v) for v in range(4)) < 2:
+            if not g.is_connected() or min(g.degree(v) for v in range(4)) < 2 or g.edge_count() in seen:
                 continue
-            if any(_isomorphic(g, s) for s in seen):
-                continue
-            seen.append(g)
+            seen.add(g.edge_count())
             yield (f"K4 spanning subgraph m={g.edge_count()}", g, 2,
                    "convention gate disabled" if g.is_complete() else "")
     for big in _diamonds(budget):

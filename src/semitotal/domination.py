@@ -145,14 +145,31 @@ def _allowed(g: Graph, variant: Variant) -> int:
     return g.full_mask if witness is None else mask_from(compress(range(g.n), witness))
 
 
-def _is_valid(g: Graph, variant: Variant, members: int) -> bool:
-    """True iff the members cover every vertex and, for semitotal, each member
-    has another member as witness."""
-    cover, witness = _masks(g, variant)
-    cov = 0
+def _is_valid(g: Graph, variant: Variant, members: int, removed: int = 0) -> bool:
+    """True iff the members are a valid set of g - ``removed``, read in g's
+    indices: they miss ``removed``, cover every other vertex and, for
+    semitotal, each has another member as witness, adjacent (within2 only) or
+    through a common neighbour outside ``removed`` (exact2: and not adjacent).
+    The witness is found from ``g.adj``, not from the witness masks."""
+    if members & removed:
+        return False
+    cover = _masks(g, variant)[0]
+    cov = removed
     for v in iter_bits(members):
         cov |= cover[v]
-    return cov == g.full_mask and (witness is None or all(members & witness[v] for v in iter_bits(members)))
+    if variant.rule is None or cov != g.full_mask:
+        return cov == g.full_mask
+    adj = g.adj
+    for v in iter_bits(members):
+        if variant is SEMITOTAL_WITHIN and adj[v] & members:
+            continue
+        # a neighbour of v outside ``removed`` next to a member that is not next to v
+        far, rest = members & ~adj[v] & ~(1 << v), adj[v] & ~removed
+        while rest and not adj[(rest & -rest).bit_length() - 1] & far:
+            rest &= rest - 1
+        if not rest:
+            return False
+    return True
 
 
 def _valid_sets(g: Graph, variant: Variant, sizes: Iterable[int]) -> Iterator[int]:

@@ -79,7 +79,9 @@ def parse_graph6(text: str) -> Graph:
     """Decode the printable graph6 encoding.
 
     Sizes up to 62 take one byte; 63 and 64 take the long form, ``~``
-    followed by three 6-bit bytes.  Larger sizes exceed the word budget.
+    followed by three 6-bit bytes.  A long form of a size below 63 is
+    malformed (``ValueError``); larger sizes exceed the word budget
+    (``CapacityError``).
     """
     s = text.strip()
     if s.startswith(_G6_HEADER):
@@ -93,7 +95,9 @@ def parse_graph6(text: str) -> Graph:
         if len(data) < 4:
             raise ValueError("graph6 long size form needs three bytes after '~'")
         n = data[1] << 12 | data[2] << 6 | data[3]
-        if not 63 <= n <= WORD_BITS:
+        if n < 63:
+            raise ValueError(f"graph6 long-form size {n} is malformed: sizes up to 62 take one byte")
+        if n > WORD_BITS:
             raise CapacityError(f"graph6 long-form size must be 63..{WORD_BITS}")
         body = data[4:]
     else:

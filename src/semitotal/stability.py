@@ -13,6 +13,7 @@ from .domination import (
     WitnessRule,
     _MAX_SETS,
     _gate_applies,
+    _is_valid,
     _minimum_set,
     _packing,
     _solved_once,
@@ -118,7 +119,6 @@ def _stability_search(
     base = domination_number(g, variant, conv)
     out_of_domain = policy is RemovalPolicy.COUNT_AS_CHANGED
     adj, closed, full = g.adj, g.closed, g.full_mask
-    exact = rule is WitnessRule.EXACTLY_TWO
     # Each vertex with its lower twins, and the top vertex of its twin class.
     prev = _lower_twins(adj)
     need: list[int] = []
@@ -163,25 +163,6 @@ def _stability_search(
     if base is not None and not _gate_applies(g, variant, conv):
         keep(_minimum_set(g, variant, base))
 
-    def still_valid(members: int, removed: int) -> bool:
-        """True iff ``members`` (disjoint from ``removed``) is valid in g - removed."""
-        cov = removed
-        for v in iter_bits(members):
-            cov |= closed[v]
-        if cov != full:
-            return False
-        for v in iter_bits(members):
-            others = members & ~(1 << v)
-            if not exact and adj[v] & others:
-                continue
-            # a witness at distance 2 needs a common neighbour that is still there
-            near = 0
-            for w in iter_bits(adj[v] & ~removed):
-                near |= adj[w]
-            if not (near & ~adj[v] if exact else near) & others:
-                return False
-        return True
-
     def unchanged(removed: int, key: tuple[int, ...]) -> bool:
         """True when the residue's value is certified to be base without building it:
         a pool set still valid there gives at most base, a packing at least base."""
@@ -191,7 +172,7 @@ def _stability_search(
         # and a semitotal set has at least two
         if base > 2 and _packing(sorted([r | 1 << i for i, r in enumerate(key)], key=int.bit_count))[1] < base:
             return False
-        return any(not members & removed and still_valid(members, removed) for members in reversed(pool))
+        return any(_is_valid(g, variant, members, removed) for members in reversed(pool))
 
     def value_of(removed: int, key: tuple[int, ...]) -> int | None:
         """The residue's value: from the convention gate when it is complete,

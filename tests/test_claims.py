@@ -8,7 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from itertools import islice
+from itertools import combinations, islice
 from pathlib import Path
 
 import networkx as nx
@@ -18,6 +18,8 @@ from semitotal import (
     BudgetExceededError,
     CapacityError,
     Conventions,
+    CountPolynomial,
+    DEFAULT_CONVENTIONS,
     Graph,
     PLAIN,
     SEMITOTAL_EXACT,
@@ -34,13 +36,14 @@ from semitotal import (
     path,
     run_claims,
 )
-from semitotal import claims, is_semitotal, semitotal
+from semitotal import claims, is_semitotal, semitotal, stability
 from semitotal import report as report_module
-from semitotal.claims import _all_trees, _isomorphic, _tree_code
-from semitotal.domination import _levels, _solved, _solved_once
+from semitotal.claims import _all_trees, _tree_code
+import semitotal.domination as domination
+from semitotal.domination import _gate_applies, _is_valid, _levels, _solved, _solved_once, _valid_sets
 from semitotal.cli import cli
 
-from conftest import relabeled, to_nx
+from conftest import to_nx
 
 # every identity the harness must know about, frozen; a missing id fails the build
 CLAIM_MANIFEST = [
@@ -506,20 +509,19 @@ def test_all_trees_follow_networkx_edge_for_edge():
         assert len(_all_trees(n)) == A000055[n]
 
 
-def test_isomorphic_by_permutation():
-    c4 = cycle(4)
-    relabellings = [relabeled(c4, perm) for perm in ([1, 0, 2, 3], [2, 3, 1, 0], [0, 2, 1, 3])]
-    assert all(_isomorphic(c4, h) and _isomorphic(h, c4) for h in relabellings)
-    k4 = complete(4)
-    k4_minus_e = Graph.from_edges(4, [e for e in k4.edges() if e != (0, 1)])
-    others = [c4, k4_minus_e, k4]
-    for i, g in enumerate(others):
-        for j, h in enumerate(others):
-            assert _isomorphic(g, h) == (i == j)
-    # six edges and all degrees 2 on both sides, yet not isomorphic
-    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert not _isomorphic(cycle(6), two_triangles)
-    assert _isomorphic(cycle(6), relabeled(cycle(6), [3, 1, 5, 0, 2, 4]))
+def test_k4_members_of_the_half_family_are_one_per_isomorphism_class():
+    # networkx's isomorphism test, in the order the entries are built, keeps
+    # the same first graph of each class as the harness's edge-count dedupe
+    pairs = list(combinations(range(4), 2))
+    expected: list[Graph] = []
+    for bits in range(64):
+        g = Graph.from_edges(4, [pairs[i] for i in range(6) if bits >> i & 1])
+        if g.is_connected() and min(g.degree(v) for v in range(4)) >= 2 \
+                and not any(nx.is_isomorphic(to_nx(g), to_nx(h)) for h in expected):
+            expected.append(g)
+    kept = [g for label, g, _, _ in claims._half_graph_entries(4) if label.startswith("K4 ")]
+    assert [g.edges() for g in kept] == [g.edges() for g in expected]
+    assert [g.edge_count() for g in kept] == [4, 5, 6]
 
 
 @pytest.mark.parametrize("budget", [12, 14])
@@ -575,6 +577,66 @@ def test_run_table_is_per_thread():
     worker.join()
     assert seen["other"] is None
     assert list(table) == [(path(4).adj, SEMITOTAL_WITHIN)]
+
+
+def test_every_number_set_and_count_of_a_run_agrees_with_a_second_engine(monkeypatch, fresh_half_rows):
+    # The harness trusts what _solve, _minimum_set and count_by_size return.
+    # Each number and each set found in a whole run is checked against the
+    # lowest nonzero count of the frontier program under bare conventions, each
+    # set with _is_valid, and each count of a graph of at most 10 vertices
+    # against a tally of the combination enumerator behind brute_force_number.
+    solve, minimum_set, count = domination._solve, domination._minimum_set, claims.count_by_size
+    numbers, sets, counts = [], [], []
+
+    def spy_solve(g, variant):
+        number, best = solve(g, variant)
+        numbers.append((g, variant, number))
+        if best is not None:
+            sets.append((g, variant, best))
+        return number, best
+
+    def spy_minimum_set(g, variant, number=None):
+        best = minimum_set(g, variant, number)
+        sets.append((g, variant, best))
+        return best
+
+    def spy_count(g, variant, conv=DEFAULT_CONVENTIONS):
+        polynomial = count(g, variant, conv)
+        counts.append((g, variant, conv, polynomial))
+        return polynomial
+
+    monkeypatch.setattr(domination, "_solve", spy_solve)
+    monkeypatch.setattr(domination, "_minimum_set", spy_minimum_set)
+    monkeypatch.setattr(stability, "_minimum_set", spy_minimum_set)
+    monkeypatch.setattr(claims, "count_by_size", spy_count)
+    run_claims("*", 20)
+
+    lowest: dict = {}
+
+    def least(g, variant):
+        key = g.adj, variant
+        if key not in lowest:
+            coeffs = count_by_size(g, variant, claims._BARE).coeffs
+            lowest[key] = next((k for k, c in enumerate(coeffs) if c), None)
+        return lowest[key]
+
+    for g, variant, number in numbers:
+        assert number == least(g, variant), (g.name, variant)
+    for g, variant, best in sets:
+        assert (None if best is None else best.bit_count()) == least(g, variant), (g.name, variant, best)
+        assert best is None or _is_valid(g, variant, best), (g.name, variant, best)
+    tallied = 0
+    for g, variant, conv, polynomial in counts:
+        if g.n > 10:
+            continue
+        coeffs = [0] * (g.n + 1)
+        for members in _valid_sets(g, variant, range(1, g.n + 1)):
+            coeffs[members.bit_count()] += 1
+        if _gate_applies(g, variant, conv):
+            coeffs[1] += g.n
+        assert polynomial == CountPolynomial(coeffs), (g.name, variant, conv)
+        tallied += 1
+    assert numbers and sets and tallied
 
 
 def test_half_decision_matches_the_number_on_small_trees():

@@ -233,6 +233,15 @@ def test_missing_product_operand_file_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_graph6_long_form_of_a_small_size_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "k10.g6"
+    f.write_text("~??I~~~~~~~w\n", encoding="ascii")
+    code, out, err = run(capsys, "num", "--input", str(f), "--format", "graph6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "malformed" in err
+
+
 def test_graph_beyond_capacity_exits_2_from_either_file_path(tmp_path, capsys):
     f = tmp_path / "big.txt"
     f.write_text("65\n0 1\n", encoding="ascii")

@@ -11,6 +11,7 @@ from unittest import mock
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semitotal import (
     BudgetExceededError,
@@ -138,6 +139,32 @@ def test_masks_match_the_distances():
             got = _masks(g, variant)
             assert list(got[0]) == cover
             assert (got[1] if got[1] is None else list(got[1])) == witness
+
+
+@given(graphs(min_n=1, max_n=10), st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_valid_less_a_removal_set_matches_the_residue(g, data):
+    # The stability screen tests a set in g - R without building the residue:
+    # the answer must be the residue's, on its re-indexed members.
+    for variant in ALL_VARIANTS:
+        removed = data.draw(st.integers(0, g.full_mask))
+        drawn = data.draw(st.integers(0, g.full_mask))
+        if drawn & removed:
+            assert not _is_valid(g, variant, drawn, removed)
+        residue, old_to_new = g.delete_vertices(removed)
+        members = drawn & ~removed
+        image = mask_from(old_to_new[v] for v in bits_list(members))
+        assert _is_valid(g, variant, members, removed) == _is_valid(residue, variant, image), \
+            (g.edges(), variant, members, removed)
+
+
+def test_is_valid_finds_no_witness_through_a_removed_vertex():
+    # in P3 the ends witness each other only through the middle vertex
+    ends, middle = mask_from([0, 2]), mask_from([1])
+    for variant in (SEMITOTAL_WITHIN, SEMITOTAL_EXACT):
+        assert _is_valid(path(3), variant, ends)
+        assert not _is_valid(path(3), variant, ends, middle)
+    assert _is_valid(path(3), PLAIN, ends, middle)
 
 
 def test_is_semitotal_examples():

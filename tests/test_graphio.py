@@ -71,7 +71,12 @@ def test_graph6_rejects_bad_input():
     with pytest.raises(ValueError, match="groups"):
         parse_graph6("D?")
     with pytest.raises(CapacityError):
-        parse_graph6(chr(63 + 63) + "???")
+        parse_graph6("~?@@???")  # 65 vertices in the long form
+    # sizes below 63 take one byte, so a long form of one is malformed, not too large
+    for text in (chr(63 + 63) + "???", "~??I~~~~~~~w"):  # 0 vertices, and K10
+        with pytest.raises(ValueError, match="malformed") as caught:
+            parse_graph6(text)
+        assert not isinstance(caught.value, CapacityError)
     with pytest.raises(ValueError, match="empty"):
         parse_graph6("   ")
 
