@@ -114,16 +114,20 @@ def is_semitotal(g: Graph, members: int, rule: WitnessRule) -> bool:
     return _member_test(g, semitotal(rule), members)
 
 
+def _cover(g: Graph, variant: Variant) -> tuple[int, ...]:
+    """The variant's cover masks by vertex: open rows under total, else closed."""
+    return g.adj if variant is TOTAL else g.closed
+
+
 def _masks(g: Graph, variant: Variant) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
     """The variant's cover masks by vertex, and its witness masks by vertex
     under semitotal, else None."""
-    if variant is TOTAL:
-        return g.adj, None
+    cover = _cover(g, variant)
     if variant is SEMITOTAL_WITHIN:
-        return g.closed, g._ball2_all()
+        return cover, g._ball2_all()
     if variant is SEMITOTAL_EXACT:
-        return g.closed, g._sphere2_all()
-    return g.closed, None
+        return cover, g._sphere2_all()
+    return cover, None
 
 
 def _gate_applies(g: Graph, variant: Variant, conv: Conventions) -> bool:
@@ -153,7 +157,7 @@ def _is_valid(g: Graph, variant: Variant, members: int, removed: int = 0) -> boo
     The witness is found from ``g.adj``, not from the witness masks."""
     if members & removed:
         return False
-    cover = _masks(g, variant)[0]
+    cover = _cover(g, variant)
     cov = removed
     for v in iter_bits(members):
         cov |= cover[v]
@@ -325,18 +329,19 @@ def _counting_bound(g: Graph, variant: Variant) -> list[int]:
     return [-(-uncovered // reach) for uncovered in range(g.n + 1)]
 
 
-def _minimum_set(g: Graph, variant: Variant, number: int | None = None) -> int | None:
+def _minimum_set(g: Graph, variant: Variant) -> int | None:
     """An optimal valid set as a mask, from the deepening of ``_levels``.
 
     Deterministic.  Returns None when no valid set exists.  Applies no
-    convention and assumes ``_validate`` passed.  Given the graph's
-    ``number``, or finding it in the table of ``_solved_once``, the deepening
-    searches only that level, which is the call the full deepening ends
-    with, so the set is the same.  Inside ``_solved_once`` the set is looked
-    up in and stored to the run's table.
+    convention and assumes ``_validate`` passed.  Finding the graph's number
+    in the table of ``_solved_once``, the deepening searches only that level,
+    which is the call the full deepening ends with, so the set is the same.
+    Inside ``_solved_once`` the set is looked up in and stored to the run's
+    table.
     """
     table = _solved.get()
     key = (g.adj, variant)
+    number = None
     solved = None if table is None else table.get(key)
     if solved is not None:
         number, best = solved

@@ -266,17 +266,18 @@ class Graph:
         return Graph._derived(len(keep), rows, self.name), old_to_new
 
 
-def _lower_twins(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Bit of each v's nearest lower twin u, where N(u) - v = N(v) - u; 0 if it has none.
+def _twin_classes(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Each v's twin class as a mask: v and every u with N(u) - v = N(v) - u.
 
-    Such u and v are false twins, N(u) = N(v), or true twins, N[u] = N[v], so
-    one pass keeps the last vertex seen with each open and each closed row.
+    Such u and v are false twins, N(u) = N(v), or true twins, N[u] = N[v].
+    A vertex v with a true twin u has no false twin w: w would be a neighbour
+    of u, so of v, and false twins are never adjacent.  So one pass groups
+    the vertices by open and by closed row, and v's class is the union of
+    its two groups, one of which is just v.
     """
     by_open: dict[int, int] = {}
     by_closed: dict[int, int] = {}
-    out = []
     for v, row in enumerate(adj):
-        bit = 1 << v
-        out.append(max(by_open.get(row, 0), by_closed.get(row | bit, 0)))
-        by_open[row] = by_closed[row | bit] = bit
-    return tuple(out)
+        by_open[row] = by_open.get(row, 0) | 1 << v
+        by_closed[row | 1 << v] = by_closed.get(row | 1 << v, 0) | 1 << v
+    return tuple([by_open[row] | by_closed[row | 1 << v] for v, row in enumerate(adj)])

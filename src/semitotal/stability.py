@@ -6,7 +6,7 @@ import enum
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, EmptyGraphError, IsolatesError
-from .graph import Graph, _lower_twins, iter_bits, mask_from
+from .graph import Graph, _twin_classes, iter_bits, mask_from
 from .domination import (
     Conventions,
     DEFAULT_CONVENTIONS,
@@ -39,7 +39,7 @@ class RemovalPolicy(enum.Enum):
 
 def _removal_sets(
     key: tuple[int, ...],
-    prev: tuple[int, ...],
+    twins: tuple[int, ...],
     k: int,
     certs: Sequence[tuple[int, int, tuple[int, ...]]] = (),
     removed: int = 0,
@@ -53,9 +53,9 @@ def _removal_sets(
     every removed one, so v sits at residue index p = v - depth >= ``first``:
     its row is dropped and the gap is closed in the others.
 
-    ``prev[v]`` is the bit of v's nearest lower twin (0 if none), and v is
-    taken only after that twin, so each twin class loses a prefix.  Nothing
-    is lost: swapping twins is an automorphism, so trading a removed v for an
+    ``twins[v]`` is v's twin class, and v is taken only once its lower twins
+    are removed, so each twin class loses a prefix.  Nothing is lost:
+    swapping twins is an automorphism, so trading a removed v for an
     unremoved lower twin gives a lexicographically smaller set whose residue
     is isomorphic, with the same value and domain status.  The first hit in
     lexicographic order is therefore always a prefix set.
@@ -89,8 +89,8 @@ def _removal_sets(
         bit = candidates & -candidates
         candidates ^= bit
         v = bit.bit_length() - 1
-        if prev[v] & ~removed:
-            continue
+        if twins[v] & (bit - 1) & ~removed:
+            continue  # a lower twin of v is still in the graph
         p = v - depth
         low = (1 << p) - 1
         high = ~low
@@ -99,7 +99,7 @@ def _removal_sets(
         if depth + 1 == k:
             yield mask, child
         else:
-            yield from _removal_sets(child, prev, k, certs, mask, depth + 1, p)
+            yield from _removal_sets(child, twins, k, certs, mask, depth + 1, p)
 
 
 @_solved_once()  # the base graph's set, stored by domination_number, seeds the pool
@@ -119,15 +119,7 @@ def _stability_search(
     base = domination_number(g, variant, conv)
     out_of_domain = policy is RemovalPolicy.COUNT_AS_CHANGED
     adj, closed, full = g.adj, g.closed, g.full_mask
-    # Each vertex with its lower twins, and the top vertex of its twin class.
-    prev = _lower_twins(adj)
-    need: list[int] = []
-    for v, low in enumerate(prev):
-        need.append(1 << v | (need[low.bit_length() - 1] if low else 0))
-    top = list(range(g.n))
-    for v in reversed(range(g.n)):
-        if prev[v]:
-            top[prev[v].bit_length() - 1] = top[v]
+    twins = _twin_classes(adj)
     # Valid sets of size base, in original indices: the optimum of g, then of
     # every residue solved or found in the run's table with the value base.
     # There are none when base is None or the gate's 1, and then every
@@ -155,13 +147,14 @@ def _stability_search(
             members |= 1 << (adj[u] & adj[v]).bit_length() - 1
         lifted = 0
         for x in iter_bits(members):
-            lifted |= 1 << (need[top[x]] & ~lifted).bit_length() - 1
-        cert = (g.n - 1 - (closed[u] & closed[v]).bit_count(), lifted, tuple(need[x] for x in iter_bits(lifted)))
+            lifted |= 1 << (twins[x] & ~lifted).bit_length() - 1
+        cert = (g.n - 1 - (closed[u] & closed[v]).bit_count(), lifted,
+                tuple(twins[x] & (2 << x) - 1 for x in iter_bits(lifted)))
         if cert not in certs:
             certs.append(cert)
 
     if base is not None and not _gate_applies(g, variant, conv):
-        keep(_minimum_set(g, variant, base))
+        keep(_minimum_set(g, variant))
 
     def unchanged(removed: int, key: tuple[int, ...]) -> bool:
         """True when the residue's value is certified to be base without building it:
@@ -197,7 +190,7 @@ def _stability_search(
     cache: dict[tuple[int, ...], int | None] = {}
     scanned = 0
     for k in range(1, g.n):
-        for removed, key in _removal_sets(adj, prev, k, certs):
+        for removed, key in _removal_sets(adj, twins, k, certs):
             scanned += 1
             if scanned > _MAX_SETS:
                 raise BudgetExceededError(f"the stability scan passed {_MAX_SETS} removal sets at size {k}")

@@ -595,8 +595,8 @@ def test_every_number_set_and_count_of_a_run_agrees_with_a_second_engine(monkeyp
             sets.append((g, variant, best))
         return number, best
 
-    def spy_minimum_set(g, variant, number=None):
-        best = minimum_set(g, variant, number)
+    def spy_minimum_set(g, variant):
+        best = minimum_set(g, variant)
         sets.append((g, variant, best))
         return best
 

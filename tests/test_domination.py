@@ -179,6 +179,19 @@ def test_is_semitotal_examples():
             is_semitotal(Graph(0, []), 0, rule)
 
 
+@pytest.mark.parametrize("rule", list(WitnessRule), ids=lambda rule: rule.value)
+def test_semitotal_predicate_builds_no_witness_masks(rule):
+    # _is_valid finds witnesses from g.adj, so the distance-2 masks that only
+    # the engines read stay unbuilt, for two dominating sets, whose witnesses
+    # are looked for (one has none under exact2), and for one that is not
+    for members in (mask_from([0, 1]), mask_from([0, 3]), mask_from([0])):
+        g = cycle(4)
+        is_semitotal(g, members, rule)
+        assert g._ball2 is None and g._sphere2 is None, bits_list(members)
+        _is_valid(g, semitotal(rule), members, mask_from([2]))
+        assert g._ball2 is None and g._sphere2 is None, bits_list(members)
+
+
 def test_singletons_never_semitotal_via_predicate():
     for rule in WitnessRule:
         assert not is_semitotal(complete(3), mask_from([0]), rule)
@@ -348,11 +361,18 @@ def test_minimum_set_is_valid_and_optimal_random(g):
                 assert best.bit_count() == expected, (g.edges(), variant)
 
 
+def _set_at_level(g, variant, number):
+    """``_minimum_set`` with the number, and no set, in the run's table."""
+    with _solved_once():
+        domination._solved.get()[g.adj, variant] = (number, None)
+        return _minimum_set(g, variant)
+
+
 @given(graphs(min_n=1, max_n=9))
 @settings(max_examples=100, deadline=None)
 def test_minimum_set_is_the_same_from_a_known_number_and_from_a_run_table(g):
-    # A known number makes the deepening search only that level, the call the
-    # full deepening ends with.  In a run table the number may come without a
+    # A number in the run table makes the deepening search only that level,
+    # the call the full deepening ends with.  The number may come without a
     # set, as from the dynamic program; the set is then searched at that level.
     for variant in ALL_VARIANTS:
         if variant is not PLAIN and not g.is_isolate_free():
@@ -360,7 +380,7 @@ def test_minimum_set_is_the_same_from_a_known_number_and_from_a_run_table(g):
         best = _minimum_set(g, variant)
         number = None if best is None else best.bit_count()
         if number is not None:
-            assert _minimum_set(g, variant, number) == best
+            assert _set_at_level(g, variant, number) == best
         with _solved_once():
             for _ in range(2):  # solved, then found in the table
                 assert domination_number(g, variant, OFF) == number
@@ -451,7 +471,7 @@ def test_set_at_the_known_level_matches_the_full_deepening():
             variant, number = VARIANT_NAMES[name], expected[label][name]
             best = next(filter(None, domination._levels(g, variant)))
             assert _is_valid(g, variant, best) and best.bit_count() == number, (label, name)
-            assert _minimum_set(g, variant, number) == best, (label, name)
+            assert _set_at_level(g, variant, number) == best, (label, name)
 
 
 # -- the counting bound ---------------------------------------------------

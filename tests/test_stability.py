@@ -15,6 +15,7 @@ from semitotal import (
     RemovalPolicy,
     WitnessRule,
     bits_list,
+    book,
     complete,
     complete_bipartite,
     cycle,
@@ -30,9 +31,9 @@ from semitotal import (
     wheel,
 )
 
-from semitotal import domination
+from semitotal import domination, stability
 from semitotal.domination import _solved_once
-from semitotal.graph import _lower_twins
+from semitotal.graph import _twin_classes as twin_class_masks
 from semitotal.stability import _removal_sets
 
 from conftest import graphs, relabeled
@@ -247,21 +248,21 @@ def _twin_classes(g):
     return classes
 
 
-def _lower_twins_by_definition(adj):
-    """The bit of each v's largest twin u < v, testing every pair: O(n^2)."""
-    return tuple(max((1 << u for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)), default=0)
+def _twin_class_masks_by_definition(adj):
+    """Each v's class as a mask, v and every twin u, testing every pair: O(n^2)."""
+    return tuple(mask_from(u for u in range(len(adj)) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
                  for v in range(len(adj)))
 
 
 @given(st.one_of(graphs(min_n=1, max_n=10), blown_up_graphs()))
 @settings(max_examples=150, deadline=None)
-def test_lower_twins_match_the_pairwise_definition(g):
-    assert _lower_twins(g.adj) == _lower_twins_by_definition(g.adj)
+def test_twin_classes_match_the_pairwise_definition(g):
+    assert twin_class_masks(g.adj) == _twin_class_masks_by_definition(g.adj)
 
 
-def test_lower_twins_match_the_pairwise_definition_on_the_corpus():
+def test_twin_classes_match_the_pairwise_definition_on_the_corpus():
     for g in full_corpus():
-        assert _lower_twins(g.adj) == _lower_twins_by_definition(g.adj), g.name
+        assert twin_class_masks(g.adj) == _twin_class_masks_by_definition(g.adj), g.name
 
 
 @given(st.one_of(graphs(min_n=2, max_n=8), blown_up_graphs().filter(lambda g: g.n <= 8)))
@@ -274,15 +275,15 @@ def test_pruned_sets_are_least_in_their_twin_orbits(g):
         least = {}
         for combo in combinations(range(g.n), k):
             least.setdefault(tuple(len(set(c) & set(combo)) for c in classes), combo)
-        sets = [mask for mask, _ in _removal_sets(g.adj, _lower_twins(g.adj), k)]
+        sets = [mask for mask, _ in _removal_sets(g.adj, twin_class_masks(g.adj), k)]
         assert sets == [mask_from(c) for c in sorted(least.values())]
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (1, 6), (2, 2), (3, 5), (4, 4), (6, 7)])
 def test_kmn_scans_one_set_per_class_profile(m, n):
     g = complete_bipartite(m, n)
-    prev = _lower_twins(g.adj)
-    assert sum(1 for k in range(1, g.n) for _ in _removal_sets(g.adj, prev, k)) == (m + 1) * (n + 1) - 2
+    twins = twin_class_masks(g.adj)
+    assert sum(1 for k in range(1, g.n) for _ in _removal_sets(g.adj, twins, k)) == (m + 1) * (n + 1) - 2
 
 
 def test_kmn_past_the_full_scan_reach():
@@ -307,6 +308,37 @@ def test_certificates_cut_the_twin_free_join_scan(monkeypatch):
     # 6,476th set scanned; every pair of one vertex from each side dominates.
     monkeypatch.setattr("semitotal.stability._MAX_SETS", 382)
     assert stability_witness(join(path(7), path(7)), WITHIN) == (7, 127)
+
+
+# The removal sets stability_witness scans, within2 then exact2, with the
+# hits they end at.  K4,7 under within2 scans 35 when certificates are lifted
+# to the bottom of their twin classes in place of the top.
+SCANNED = [
+    (join(path(6), path(7)), (172, (6, 63)), (1, (1, 2))),
+    (join(path(8), path(9)), (298, (8, 255)), (18, (2, 3))),
+    (complete_bipartite(4, 7), (9, (9, 1015)), (1, (1, 1))),
+    (friendship(5), (1, (1, 1)), (12, (2, 6))),
+    (book(5), (1, (1, 1)), (1, (1, 1))),
+    (cycle(12), (13, (2, 3)), (13, (2, 3))),
+]
+
+
+@pytest.mark.parametrize("g,within,exact", SCANNED, ids=[g.name for g, _, _ in SCANNED])
+def test_scan_visits_no_more_removal_sets_than_recorded(monkeypatch, g, within, exact):
+    # the twin rule and the certificate cut must keep the same hit while
+    # scanning at most as many sets
+    scan, scanned = stability._removal_sets, []
+
+    def counting(key, twins, k, certs=(), removed=0, depth=0, first=0):
+        for item in scan(key, twins, k, certs, removed, depth, first):
+            scanned[-1] += depth == 0
+            yield item
+
+    monkeypatch.setattr(stability, "_removal_sets", counting)
+    for rule, (most, hit) in zip((WITHIN, EXACT), (within, exact)):
+        scanned.append(0)
+        assert stability_witness(g, rule) == hit, (g.name, rule)
+        assert scanned[-1] <= most, (g.name, rule)
 
 
 @st.composite
@@ -334,7 +366,7 @@ def test_certificate_cut_matches_reference(g, rule, policy, singleton):
 @pytest.mark.parametrize("g", [path(7), cycle(8), complete_bipartite(3, 4), wheel(7)], ids=lambda g: g.name)
 def test_incremental_keys_match_deleted_residues(g):
     for k in range(1, g.n):
-        sets = list(_removal_sets(g.adj, (0,) * g.n, k))
+        sets = list(_removal_sets(g.adj, tuple(1 << v for v in range(g.n)), k))
         assert [mask for mask, _ in sets] == [mask_from(c) for c in combinations(range(g.n), k)]
         for mask, key in sets:
             assert key == g.delete_vertices(mask)[0].adj, (g.name, bits_list(mask))
@@ -343,9 +375,9 @@ def test_incremental_keys_match_deleted_residues(g):
 @pytest.mark.parametrize("g", [complete_bipartite(3, 4), star(6), friendship(3)], ids=lambda g: g.name)
 def test_twin_pruned_keys_match_deleted_residues(g):
     # Skipped branches must not shift the keys of the sets that are kept.
-    prev = _lower_twins(g.adj)
+    twins = twin_class_masks(g.adj)
     for k in range(1, g.n):
-        for mask, key in _removal_sets(g.adj, prev, k):
+        for mask, key in _removal_sets(g.adj, twins, k):
             assert key == g.delete_vertices(mask)[0].adj, (g.name, bits_list(mask))
 
 
