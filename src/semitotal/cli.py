@@ -145,6 +145,11 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _write_graph(g: Graph, fmt: str) -> None:
+    """Write g to stdout, ending graph6 text, which has no newline of its own, with one."""
+    sys.stdout.write(emit_graph(g, GraphFormat(fmt)) + ("\n" if fmt == "graph6" else ""))
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="semitotal", description="Exact semitotal domination toolkit")
     sub = parser.add_subparsers(dest="command")
@@ -237,10 +242,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if hit is not None else 2
 
     if args.command == "family":
-        g = _parse_family(args.spec)
-        sys.stdout.write(emit_graph(g, GraphFormat(args.format)))
-        if args.format == "graph6":
-            sys.stdout.write("\n")
+        _write_graph(_parse_family(args.spec), args.format)
         return 0
 
     if args.command == "product":
@@ -249,10 +251,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         right = _graph_source(args.right, in_fmt)
         ops = {"corona": corona, "cartesian": cartesian, "join": join,
                "diamond": lambda a, b: rooted_product(a, b, 0)}
-        g = ops[args.kind](left, right)
-        sys.stdout.write(emit_graph(g, GraphFormat(args.out_format)))
-        if args.out_format == "graph6":
-            sys.stdout.write("\n")
+        _write_graph(ops[args.kind](left, right), args.out_format)
         return 0
 
     if args.command == "verify":

@@ -414,13 +414,12 @@ def _levels(g: Graph, variant: Variant, start: int | None = None) -> Iterator[in
     # Without candidates at the root some vertex cannot be covered at all.
     # Otherwise the whole allowed set is valid (each allowed vertex has a
     # witness, which is itself allowed), so the deepening below terminates.
-    # A semitotal set has at least two members: a singleton has no witness.
     reqs = sorted([row & allowed for row in cover], key=int.bit_count)
     if not reqs[0]:
         return
     need = _counting_bound(g, variant)
     packed = _packing(reqs)
-    k = max(packed[1], need[n], 1 if witness is None else 2) if start is None else start
+    k = max(packed[1], need[n]) if start is None else start
     while (found := search(0, 0, allowed, reqs, k, *packed)) is None:
         yield None
         k += 1

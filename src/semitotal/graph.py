@@ -255,15 +255,18 @@ class Graph:
         """
         if remove & ~self.full_mask:
             raise ValueError("removal set contains vertices outside the graph")
-        keep = [v for v in range(self.n) if not remove >> v & 1]
-        old_to_new = {v: i for i, v in enumerate(keep)}
-        rows = []
-        for v in keep:
-            row = 0
-            for u in iter_bits(self.adj[v] & ~remove):
-                row |= 1 << old_to_new[u]
-            rows.append(row)
-        return Graph._derived(len(keep), rows, self.name), old_to_new
+        rows = self.adj
+        for v in reversed(bits_list(remove)):
+            rows = _without(rows, v)
+        keep = iter_bits(self.full_mask & ~remove)
+        return Graph._derived(len(rows), rows, self.name), {v: i for i, v in enumerate(keep)}
+
+
+def _without(rows: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The rows of a graph without vertex p: row p goes, and every bit above
+    p moves down one place, so the vertices left keep their order."""
+    low = (1 << p) - 1
+    return tuple([r & low | r >> 1 & ~low for r in rows[:p] + rows[p + 1:]])
 
 
 def _twin_classes(adj: tuple[int, ...]) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ import enum
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, EmptyGraphError, IsolatesError
-from .graph import Graph, _twin_classes, iter_bits, mask_from
+from .graph import Graph, _twin_classes, _without, iter_bits, mask_from
 from .domination import (
     Conventions,
     DEFAULT_CONVENTIONS,
@@ -50,8 +50,8 @@ def _removal_sets(
 
     ``key`` is the re-indexed adjacency of the residue left by ``removed``
     (``depth`` vertices).  Sets are extended depth-first by a vertex v above
-    every removed one, so v sits at residue index p = v - depth >= ``first``:
-    its row is dropped and the gap is closed in the others.
+    every removed one, so v sits at residue index p = v - depth >= ``first``,
+    and the child's key is ``_without(key, p)``.
 
     ``twins[v]`` is v's twin class, and v is taken only once its lower twins
     are removed, so each twin class loses a prefix.  Nothing is lost:
@@ -92,9 +92,7 @@ def _removal_sets(
         if twins[v] & (bit - 1) & ~removed:
             continue  # a lower twin of v is still in the graph
         p = v - depth
-        low = (1 << p) - 1
-        high = ~low
-        child = tuple([r & low | r >> 1 & high for r in key[:p] + key[p + 1:]])
+        child = _without(key, p)
         mask = removed | bit
         if depth + 1 == k:
             yield mask, child

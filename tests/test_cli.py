@@ -130,6 +130,13 @@ def test_product_diamond(capsys):
     assert out.splitlines()[0] == "20"
 
 
+def test_product_graph6_ends_with_one_newline(capsys):
+    code, out, _ = run(capsys, "product", "join", "--left", "complete:1", "--right", "cycle:4",
+                       "--out-format", "graph6")
+    assert code == 0
+    assert out == emit_graph(wheel(5), GraphFormat.GRAPH6) + "\n"
+
+
 def test_product_reads_files(tmp_path, capsys):
     f = tmp_path / "c4.g6"
     f.write_text(emit_graph(cycle(4), GraphFormat.GRAPH6) + "\n", encoding="ascii")

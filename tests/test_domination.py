@@ -50,7 +50,9 @@ from semitotal import (
 )
 import semitotal.domination as domination
 from semitotal.domination import (
+    _allowed,
     _counting_bound,
+    _cover,
     _gate_applies,
     _is_valid,
     _least_size,
@@ -496,6 +498,27 @@ def test_counting_bound_is_tight_on_paths_and_cycles():
         for rule in WitnessRule:
             for g in (path(n), cycle(n)):
                 assert _counting_bound(g, semitotal(rule))[n] == -(-2 * n // 5), (g.name, rule)
+
+
+def assert_root_bound_needs_a_witness(g):
+    # when every vertex has a candidate, the counting bound alone starts the
+    # deepening at 2 or more under semitotal, where a singleton has no witness
+    for variant in ALL_VARIANTS:
+        allowed = _allowed(g, variant)
+        if all(row & allowed for row in _cover(g, variant)):
+            least = 1 if variant.rule is None else 2
+            assert _counting_bound(g, variant)[g.n] >= least, (g.name, g.edges(), variant)
+
+
+def test_root_bound_needs_a_witness_on_the_corpus():
+    for g in full_corpus():
+        assert_root_bound_needs_a_witness(g)
+
+
+@given(graphs(min_n=1, max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_root_bound_needs_a_witness_random(g):
+    assert_root_bound_needs_a_witness(g)
 
 
 def test_minimum_set_on_near_tight_graphs():

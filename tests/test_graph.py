@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from semitotal import (
     star,
 )
 from semitotal.claims import _all_trees
+from semitotal.graph import _without
 
 from conftest import graphs
 from corpus import full_corpus
@@ -181,6 +183,58 @@ def test_delete_composes(g):
         assert g2.adj == direct.adj
         composed = {v: map2[map1[v]] for v in map1 if map1[v] in map2}
         assert composed == map_direct
+
+
+# -- deletion against an independent oracle --------------------------------
+
+
+def relabelled_induced(g, remove):
+    """g - remove and its old-to-new map, built from the relabelled induced
+    edge list and not by moving bits."""
+    old_to_new = {v: i for i, v in enumerate(v for v in range(g.n) if not remove >> v & 1)}
+    edges = [(old_to_new[u], old_to_new[v]) for u, v in g.edges() if u in old_to_new and v in old_to_new]
+    return Graph.from_edges(len(old_to_new), edges), old_to_new
+
+
+@st.composite
+def graphs_and_removals(draw):
+    n = draw(st.integers(min_value=1, max_value=64))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    full = (1 << n) - 1
+    remove = draw(st.one_of(
+        st.just(0),
+        vertex.map(lambda v: full & ~(1 << v)),  # all but one vertex
+        st.integers(min_value=0, max_value=full),
+    ))
+    return Graph.from_edges(n, edges), remove
+
+
+def assert_deletion_matches_oracle(g, remove):
+    assert g.delete_vertices(remove) == relabelled_induced(g, remove)
+
+
+@given(graphs_and_removals())
+@settings(max_examples=150, deadline=None)
+def test_delete_vertices_matches_the_relabelled_edge_list(case):
+    assert_deletion_matches_oracle(*case)
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=60, deadline=None)
+def test_without_drops_the_first_and_the_last_vertex(g):
+    for p in (0, g.n - 1):
+        assert _without(g.adj, p) == relabelled_induced(g, 1 << p)[0].adj
+
+
+def test_deletion_reaches_bit_63():
+    rng = random.Random(64)
+    g = Graph.from_edges(64, [(u, v) for u in range(64) for v in range(u + 1, 64) if rng.random() < 0.3])
+    full = g.full_mask
+    for remove in (0, 1, 1 << 63, full >> 1, full & ~1, full & ~(1 << 63), rng.getrandbits(64)):
+        assert_deletion_matches_oracle(g, remove)
+    for p in (0, 31, 62, 63):
+        assert _without(g.adj, p) == relabelled_induced(g, 1 << p)[0].adj
 
 
 # -- graphs built without the constructor's checks ---------------------------
